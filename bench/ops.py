@@ -2,7 +2,8 @@
 PYTHONPATH. The benchmark's parent process never imports this module.
 
     ops.py setup    INSTANCE                  what every CLI command pays first
-    ops.py readback INSTANCE SIMDIR OUT.json [SPANS]
+    ops.py timed    READY ARG...              `dynmatch ARG...`, marking the end of its set-up
+    ops.py readback INSTANCE SIMDIR OUT.json READY [SPANS]
                                               read every trace of a simulate run back
     ops.py cli      SPANS ARG...              `dynmatch ARG...` with layer spans
     ops.py probe    WORKLOAD SEED SPANS SOLUTION
@@ -10,7 +11,9 @@ PYTHONPATH. The benchmark's parent process never imports this module.
     ops.py engine   WORKLOAD SEED SOLUTION POLICY RECORD_TRACE
                                               one run_simulation call, for its peak RSS
 
-Spans are written to SPANS when the process ends (see tracing.py).
+Spans are written to SPANS when the process ends (see tracing.py). READY
+receives the time.monotonic() reading at which the child's set-up ended,
+so that the parent can time the operation from there to the child's exit.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+import time
 from contextlib import nullcontext
 
 
@@ -33,7 +37,34 @@ def op_setup(instance_path: str) -> int:
     return 0 if check_feasibility(instance, solution).ok else 1
 
 
-def op_readback(instance_path: str, simdir: str, out_path: str, spans_path: str | None) -> int:
+def _write_ready(path: str, t: float) -> None:
+    with open(path, "w") as fh:
+        fh.write(f"{t!r}\n")
+
+
+def op_timed(ready_path: str, argv: list[str]) -> int:
+    """`dynmatch ARG...` as `python -m dynmatch.cli` runs it. Its set-up
+    ends when the CLI's one check_feasibility call returns: interpreter,
+    imports, instance and LP are done, no arrival is simulated yet."""
+    import dynmatch.cli as cli
+
+    inner = cli.check_feasibility
+    ready: list[float] = []
+
+    def check_feasibility(*args, **kwargs):
+        result = inner(*args, **kwargs)
+        ready.append(time.monotonic())
+        return result
+
+    cli.check_feasibility = check_feasibility
+    code = cli.main(argv)
+    if ready:
+        _write_ready(ready_path, ready[0])
+    return code
+
+
+def op_readback(instance_path: str, simdir: str, out_path: str, ready_path: str,
+                spans_path: str | None) -> int:
     from dynmatch import estimate_rates, load_instance, read_trace_csv, replay_check
 
     tracer = _tracer() if spans_path else None
@@ -42,6 +73,7 @@ def op_readback(instance_path: str, simdir: str, out_path: str, spans_path: str 
         return tracer.span(name) if tracer else nullcontext()
 
     instance = load_instance(instance_path)
+    ready = time.monotonic()
     doc = {}
     for name in sorted(os.listdir(simdir)):
         if not (name.startswith("trace_") and name.endswith(".csv")):
@@ -56,6 +88,7 @@ def op_readback(instance_path: str, simdir: str, out_path: str, spans_path: str 
     with open(out_path, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
+    _write_ready(ready_path, ready)
     if tracer:
         tracer.write(spans_path)
     return 0
@@ -74,6 +107,23 @@ def _trace_population(tracer) -> None:
     # global, so this catches every engine run, instrumented runs included
     tracer.wrap(sim, "generate_population", "simulate.population",
                 result_attrs=lambda pop: {"agents": pop.n_agents})
+
+
+def _trace_pools(tracer) -> None:
+    import dynmatch.simulate as sim
+
+    # periodic_clear takes its pool from here; the largest pool of a run
+    # becomes the max_pool attribute of its simulate.run span
+    inner = sim.MarketState.snapshot_available
+
+    def snapshot_available(state):
+        pool = inner(state)
+        rec = tracer.current()
+        if rec is not None and rec["name"] == "simulate.run":
+            rec["max_pool"] = max(rec.get("max_pool", 0), len(pool))
+        return pool
+
+    sim.MarketState.snapshot_available = snapshot_available
 
 
 def _run_attrs(instance, policy, solution=None, **kw) -> dict:
@@ -100,6 +150,7 @@ def op_cli(spans_path: str, argv: list[str]) -> int:
     tracer.wrap(cli, "instrument_z_events", "diagnostics.instrument")
     tracer.wrap(cli, "check_rate_bounds", "diagnostics.bounds")
     _trace_population(tracer)
+    _trace_pools(tracer)
     with tracer.span("cli.main", command=argv[0]):
         code = cli.main(argv)
     tracer.write(spans_path)
@@ -186,8 +237,10 @@ def main(argv: list[str]) -> int:
     op, args = argv[0], argv[1:]
     if op == "setup":
         return op_setup(args[0])
+    if op == "timed":
+        return op_timed(args[0], args[1:])
     if op == "readback":
-        return op_readback(args[0], args[1], args[2], args[3] if len(args) > 3 else None)
+        return op_readback(args[0], args[1], args[2], args[3], args[4] if len(args) > 4 else None)
     if op == "cli":
         return op_cli(args[0], args[1:])
     if op == "probe":

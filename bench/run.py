@@ -6,7 +6,9 @@ Run from the root of a checkout; the package is used from its src/ tree.
 One parent process (this one) runs the workload's operations as child
 processes, one at a time, in rounds with identical arguments, until
 --seconds of operation time have passed and at least two rounds (trace 0)
-or one round (trace 1) are done. The first round's outputs go through the
+or one round (trace 1) are done. An operation's time runs from the end of
+its child's set-up (the mark ops.py writes) to the child's exit; set-up
+itself is measured by separate probes. The first round's outputs go through the
 independent checks in checks.py; every later round's outputs must be
 byte-identical to the first's.
 
@@ -37,7 +39,10 @@ from workloads import WORKLOADS, Workload, population_seeds
 
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "bench" / "_out"
-MIN_SETUP_PROBES = 5
+SETUP_PROBES_PER_ROUND = 2
+# policies.periodic_clear's exact_threshold, which the engine leaves at its
+# default: larger pools are cleared greedily instead of exactly
+CLEAR_EXACT_LIMIT = 20
 RUN_LIMIT_S = 170.0  # a run must end within 180 s
 LAST_ROUND_START_S = 120.0
 PY = sys.executable
@@ -48,7 +53,8 @@ POLICIES = ("online_match", "greedy", "periodic_clear")
 class Op:
     name: str
     code: int
-    wall: float
+    wall: float  # spawn to exit
+    work: float  # end of set-up to exit; the whole wall without a mark
     rss_mb: float
     problems: list[str] = field(default_factory=list)
 
@@ -69,9 +75,10 @@ class Runner:
     def elapsed(self) -> float:
         return time.monotonic() - self.start
 
-    def run(self, name: str, argv: list[str]) -> Op:
+    def run(self, name: str, argv: list[str], ready: str | None = None) -> Op:
         """Run argv from the checkout root; wall time and peak RSS come from
-        this child alone (wait4), output goes to a log file."""
+        this child alone (wait4), output goes to a log file. ready names
+        the file where the child marks the end of its set-up."""
         log = self.logdir / f"{len(self.ops):03d}-{name.replace(':', '-')}.log"
         with open(log, "wb") as fh:
             t0 = time.perf_counter()
@@ -82,12 +89,18 @@ class Runner:
                 _, status, usage = os.wait4(proc.pid, 0)
             finally:
                 killer.cancel()
+            end = time.monotonic()
             wall = time.perf_counter() - t0
         proc.returncode = os.waitstatus_to_exitcode(status)
-        op = Op(name, proc.returncode, wall, usage.ru_maxrss / 1024.0)
+        op = Op(name, proc.returncode, wall, wall, usage.ru_maxrss / 1024.0)
+        self.ops.append(op)
         if op.code != 0:
             print(f"{name} exited {op.code}; log: {log.relative_to(ROOT)}", file=sys.stderr)
-        self.ops.append(op)
+        elif ready is not None:
+            try:
+                op.work = end - float((ROOT / ready).read_text())
+            except (OSError, ValueError) as e:
+                self.flag(op, [f"no set-up mark: {e}"])
         return op
 
     def flag(self, op: Op, problems: list[str]) -> None:
@@ -239,12 +252,12 @@ def run_round(w: Workload, seed: int, rdir: Path, runner: Runner, first: Path | 
     """One pass over the workload's operations; checks the outputs (first
     round) or compares them with the first round's."""
     done = []
-    for name, argv, output in w.operations(seed, rel(rdir)):
-        done.append((runner.run(name, argv), output))
+    for name, argv, output, ready in w.operations(seed, rel(rdir)):
+        done.append((runner.run(name, argv, ready), output))
     if first is None:
         check_round(w, seed, done, runner)
     else:
-        for (op, output), (_, _, first_output) in zip(done, w.operations(seed, rel(first))):
+        for (op, output), (_, _, first_output, _) in zip(done, w.operations(seed, rel(first))):
             check_repeat(first_output, output, op, runner)
     return [op for op, _ in done]
 
@@ -254,25 +267,24 @@ def end_to_end(w: Workload, seed: int, seconds: float, out: Path, runner: Runner
     runner.run("setup", setup_argv)  # fills the bytecode cache; not timed
     agents = agents_per_round(w, seed)
 
-    # set-up probes are spread over the run, one before each round, so
+    # set-up probes are spread over the run, a few before each round, so
     # that they sample the machine's slow and fast spells alike
     setup: list[float] = []
     walls: list[float] = []
     peak_rss = 0.0
     first = out / "round0"
     while len(walls) < 2 or (sum(walls) < seconds and runner.elapsed() < LAST_ROUND_START_S):
-        setup.append(runner.run("setup", setup_argv).wall)
+        setup += [runner.run("setup", setup_argv).wall for _ in range(SETUP_PROBES_PER_ROUND)]
         rdir = out / f"round{len(walls)}"
         ops = run_round(w, seed, rdir, runner, None if not walls else first)
         if walls:
             shutil.rmtree(rdir)
-        walls.append(sum(op.wall for op in ops))
+        walls.append(sum(op.work for op in ops))
         peak_rss = max([peak_rss] + [op.rss_mb for op in ops])
-    while len(setup) < MIN_SETUP_PROBES:
-        setup.append(runner.run("setup", setup_argv).wall)
     wall = statistics.median(walls)
     print(f"{w.name}: {len(walls)} rounds of {agents} agents, walls "
-          + " ".join(f"{x:.3f}" for x in walls), file=sys.stderr)
+          + " ".join(f"{x:.3f}" for x in walls) + f"; {len(setup)} set-up probes, "
+          + " ".join(f"{x:.3f}" for x in setup), file=sys.stderr)
     return {
         "setup_s": statistics.median(setup),
         "wall_s": wall,
@@ -296,6 +308,11 @@ def total(spans: list[dict], name: str) -> float:
     return sum(s["end"] - s["start"] for s in spans if s["name"] == name)
 
 
+def max_clear_pool(spans: list[dict]) -> int:
+    return max([s.get("max_pool", 0) for s in spans
+                if s["name"] == "simulate.run" and s["policy"] == "periodic_clear"], default=0)
+
+
 def layer_metrics(w: Workload, names: list[str], cli: list[dict], probe: list[dict],
                   readback: list[dict], rss: dict, trace_bytes: int, overhead: float) -> dict:
     """Per-layer values of one traced round; README.md defines each. Layers
@@ -314,6 +331,7 @@ def layer_metrics(w: Workload, names: list[str], cli: list[dict], probe: list[di
     m["lp.check_s"] = total(cli, "lp.check")
     m["lp.rows"] = float(max([s["rows"] for s in cli if s["name"] == "lp.build"], default=0))
     m["simulate.population_s"] = total(cli, "simulate.population")
+    m["simulate.clear_pool_max"] = float(max_clear_pool(cli))
 
     # engine: run_simulation without traces minus its population
     traced_runs = 0.0
@@ -363,8 +381,8 @@ def traced_round(w: Workload, seed: int, rdir: Path, runner: Runner, first: Path
     spans = {name: tdir / f"spans-{name}.json" for name in ("cli", "readback", "probe")}
     traced = []
     tdir.mkdir(parents=True)
-    for (name, argv, output), (_, _, plain_output) in zip(w.operations(seed, rel(tdir)),
-                                                          w.operations(seed, rel(rdir))):
+    for (name, argv, output, _), (_, _, plain_output, _) in zip(w.operations(seed, rel(tdir)),
+                                                                w.operations(seed, rel(rdir))):
         if name == w.command:
             argv = [PY, "bench/ops.py", "cli", rel(spans["cli"]), *w.cli_args(seed, output)]
         else:
@@ -385,6 +403,10 @@ def traced_round(w: Workload, seed: int, rdir: Path, runner: Runner, first: Path
     trace_bytes = sum(f.stat().st_size for f in (rdir / w.command).glob("trace_*.csv"))
     overhead = sum(op.wall for op in traced) / sum(op.wall for op in plain)
     loaded = {name: load_spans(path) for name, path in spans.items()}
+    pool = max_clear_pool(loaded["cli"])
+    if pool > CLEAR_EXACT_LIMIT:
+        runner.flag(traced[0], [f"a clearing pool of {pool} agents exceeds {CLEAR_EXACT_LIMIT}: "
+                                "periodic_clear fell back to greedy edge selection"])
     return plain + traced, {"spans": loaded, "rss": rss, "trace_bytes": trace_bytes, "overhead": overhead}
 
 

@@ -1,8 +1,9 @@
 """Run workloads repeatedly and report how steady each end-to-end metric is.
 
-    python3 bench/stability.py --runs 10 --seconds 20 [--workload long ...] [--first-seed 1]
+    python3 bench/stability.py --runs 10 [--workload long ...]
 
-Run k uses seed first_seed + k. For every workload and end-to-end metric
+Run k (from 1) uses seed k and BENCHMARK.json's run_seconds. For every
+workload and end-to-end metric
 it prints the median, the quartiles (statistics.quantiles, n=4), the
 interquartile range as a share of the median, and the worst deviation
 from the median as a share of it, next to the metric's bound in
@@ -28,19 +29,16 @@ def main(argv: list[str] | None = None) -> int:
     names = [w["name"] for w in spec["workloads"]]
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--runs", type=int, default=10)
-    p.add_argument("--seconds", type=float, default=float(spec["run_seconds"]))
-    p.add_argument("--first-seed", type=int, default=1)
     p.add_argument("--workload", action="append", choices=names)
     args = p.parse_args(argv)
 
     raw: dict[str, list[dict]] = {}
     for name in args.workload or names:
         raw[name] = []
-        for k in range(args.runs):
-            seed = args.first_seed + k
+        for seed in range(1, args.runs + 1):
             proc = subprocess.run(
                 [sys.executable, "bench/run.py", "--workload", name, "--seed", str(seed),
-                 "--seconds", f"{args.seconds:g}", "--trace", "0"],
+                 "--seconds", str(spec["run_seconds"]), "--trace", "0"],
                 cwd=ROOT, capture_output=True, text=True,
             )
             if proc.returncode != 0:
@@ -58,7 +56,7 @@ def main(argv: list[str] | None = None) -> int:
     with open(out / "stability.json", "w") as fh:
         json.dump(raw, fh, indent=1)
 
-    print(f"\n{args.runs} runs per workload, --seconds {args.seconds:g}")
+    print(f"\n{args.runs} runs per workload, --seconds {spec['run_seconds']}")
     print(f"{'workload':8} {'metric':13} {'median':>11} {'q1':>11} {'q3':>11} "
           f"{'iqr/med':>8} {'worst':>8} {'bound':>6}")
     for name, results in raw.items():

@@ -37,6 +37,10 @@ class Tracer:
             rec["end"] = time.perf_counter()
             self._stack.pop()
 
+    def current(self) -> dict | None:
+        """The innermost open span, if any."""
+        return self.spans[self._stack[-1]] if self._stack else None
+
     def wrap(self, module, attr: str, name: str, attrs=None, result_attrs=None) -> None:
         """Replace module.attr with a traced call of the same function.
 

@@ -57,18 +57,22 @@ class Workload:
             args.append("--with-diagnostics")
         return args
 
-    def operations(self, seed: int, out: str) -> list[tuple[str, list[str], str]]:
-        """(name, argv, output path) of each child process of one round, in
-        order; out is the round's directory, relative to the checkout root."""
+    def operations(self, seed: int, out: str) -> list[tuple[str, list[str], str, str]]:
+        """(name, argv, output path, ready path) of each child process of
+        one round, in order; out is the round's directory, relative to the
+        checkout root. Each child writes to its ready path the clock reading
+        at which its set-up ended (see ops.py)."""
         simdir = f"{out}/{self.command}"
+        ready = f"{out}/{self.command}.ready"
         ops = [(self.command,
-                [sys.executable, "-m", "dynmatch.cli", *self.cli_args(seed, simdir)],
-                simdir)]
+                [sys.executable, "bench/ops.py", "timed", ready, *self.cli_args(seed, simdir)],
+                simdir, ready)]
         if self.readback:
+            ready = f"{out}/readback.ready"
             ops.append(("readback",
                         [sys.executable, "bench/ops.py", "readback",
-                         self.instance, simdir, f"{out}/readback.json"],
-                        f"{out}/readback.json"))
+                         self.instance, simdir, f"{out}/readback.json", ready],
+                        f"{out}/readback.json", ready))
         return ops
 
 
