@@ -24,7 +24,15 @@ import numpy as np
 
 from .diagnostics import check_rate_bounds, instrument_z_events, merge_counters
 from .hindsight import MatchingTooLargeError, hindsight_value_estimate
-from .lp import SolveStatus, build_lp, check_feasibility, format_tableau, solve_lp
+from .lp import (
+    FeasibilityReport,
+    LinearProgram,
+    LpSolution,
+    SolveStatus,
+    build_lp,
+    check_feasibility,
+    solve_lp,
+)
 from .market import (
     InstanceFormatError,
     MarketInstance,
@@ -205,7 +213,9 @@ def _dump_json(obj: dict, path: str) -> None:
         fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _solve_or_fail(instance: MarketInstance) -> tuple[float, np.ndarray, dict]:
+def _solve_or_fail(
+    instance: MarketInstance,
+) -> tuple[LinearProgram, LpSolution, FeasibilityReport]:
     lp = build_lp(instance)
     solution = solve_lp(lp)
     if solution.status is not SolveStatus.OPTIMAL:
@@ -215,7 +225,7 @@ def _solve_or_fail(instance: MarketInstance) -> tuple[float, np.ndarray, dict]:
         raise DomainError(
             f"LP solution violates constraints by {feas.worst_violation:.3e}"
         )
-    return solution.value, solution, feas
+    return lp, solution, feas
 
 
 def _mean_se(values: list[float]) -> tuple[float, float | None]:
@@ -240,8 +250,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_lp(args: argparse.Namespace) -> int:
     instance = _load_checked_instance(args.instance)
-    _, solution, feas = _solve_or_fail(instance)
-    print(format_tableau(build_lp(instance)))
+    lp, solution, feas = _solve_or_fail(instance)
+    print(f"maximize over {lp.n_vars} variable(s) subject to {lp.n_rows} row(s)")
     print(f"optimal value: {solution.value!r}")
     doc = {
         "schema_version": 1,
@@ -335,7 +345,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     cfg.require("instance", "seed", "horizon", "out")
     instance = _load_checked_instance(cfg.instance)
     policies = cfg.built_policies(default_kinds=["online_match", "greedy"])
-    lp_value, solution, _ = _solve_or_fail(instance)
+    _, solution, _ = _solve_or_fail(instance)
+    lp_value = solution.value
     horizon = float(cfg.horizon)
     burn_in = cfg.burn_in if cfg.burn_in is not None else horizon / 100.0
     os.makedirs(cfg.out, exist_ok=True)
@@ -429,7 +440,8 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     cfg = build_config(args)
     cfg.require("instance", "seed", "horizon", "out")
     instance = _load_checked_instance(cfg.instance)
-    lp_value, solution, _ = _solve_or_fail(instance)
+    _, solution, _ = _solve_or_fail(instance)
+    lp_value = solution.value
     horizon = float(cfg.horizon)
     os.makedirs(cfg.out, exist_ok=True)
 

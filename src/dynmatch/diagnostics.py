@@ -1,7 +1,9 @@
 """Instrumentation for the random-order policy's guarantee machinery.
 
 The competitive analysis rests on a small family of marker events per
-type x, counted here during an observed run:
+type x. They are counted after the run, from the decision blocks the engine
+walked (each arrival's type permutation and pre-evaluated checks), its
+match records and the policy-free presence of the population:
 
 * idle arrival: an agent of type x arrives and its pre-evaluated checks
   pass on no type that is present. The arriver is then certainly unmatched
@@ -41,9 +43,9 @@ import numpy as np
 
 from .lp import LpSolution
 from .market import MarketInstance
-from .policies import MatchDecision, PolicyConfig, PolicyKind, attempt_probabilities
+from .policies import attempt_probabilities
 from .randomness import Rng, derive_seed, sample_homogeneous_stream
-from .simulate import SimulationReport, run_simulation
+from .simulate import Population, SimulationReport, run_with_decisions
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -114,13 +116,15 @@ class EventCounters:
 
 
 class MarkerObserver:
-    """Simulation observer that classifies arrivals and departures into the
-    marker events and records condition windows for the stand-in clocks.
+    """Classifies a finished run's arrivals and departures into the marker
+    events and records condition windows for the stand-in clocks.
 
-    Presence is tracked independently of the market state: an agent is
-    present from arrival until its shadow departure, matched or not, and
+    observe() is a post-pass: it reads the population, the decision blocks
+    the engine walked and the match records, and redoes the walks on numpy
+    arrays. Presence is tracked independently of the market state: an agent
+    is present from arrival until its shadow departure, matched or not, and
     an arrival's classification always uses presence *excluding* the
-    arriver. All clock realization happens in finish(), post-run.
+    arriver. All clock realization happens in finish().
     """
 
     def __init__(
@@ -137,15 +141,14 @@ class MarkerObserver:
         self.batch_count = batch_count
         n = instance.n_types
         self._n = n
-        self._present = [0] * n
-        # presence transition log per type: (time, count after)
-        self._transitions: list[list[tuple[float, int]]] = [[] for _ in range(n)]
-        self._idle: list[list[float]] = [[] for _ in range(n)]
-        self._inbound_real: list[list[float]] = [[] for _ in range(n)]
-        self._sole_real: list[list[float]] = [[] for _ in range(n)]
-        self._first: dict[tuple[int, int], list[float]] = {}
-        self._first_matched: dict[tuple[int, int], list[bool]] = {}
-        self._reached: dict[tuple[int, int], list[float]] = {}
+        # per type: presence transition times and the count after each
+        self._transitions: list[tuple[np.ndarray, np.ndarray]] = []
+        self._idle: list[np.ndarray] = []
+        self._inbound_real: list[np.ndarray] = []
+        self._sole_real: list[np.ndarray] = []
+        self._first: dict[tuple[int, int], np.ndarray] = {}
+        self._first_matched: dict[tuple[int, int], np.ndarray] = {}
+        self._reached: dict[tuple[int, int], np.ndarray] = {}
         alpha = solution.alpha
         self._clock_rates = []
         for x, t in enumerate(instance.types):
@@ -159,51 +162,86 @@ class MarkerObserver:
             self._clock_rates.append((inbound, t.departure_rate))
         self._horizon: float | None = None
 
-    # -- hooks ------------------------------------------------------------
+    # -- the post-pass -----------------------------------------------------
 
-    def on_arrival(
+    def observe(
         self,
-        time: float,
-        type_id: int,
-        serial: int,
-        departure_time: float,
-        decision: MatchDecision,
+        pop: Population,
+        perm: np.ndarray,
+        checks: np.ndarray,
+        records: list[tuple[float, int, int, int, int, float]],
     ) -> None:
+        """Record the marker events of a random-order run.
+
+        perm and checks are the run's decision blocks (arrival i's type
+        permutation and its check outcomes in that order); records are its
+        match records, the arriver in slot b. An arrival's walk visits its
+        passing checks in permutation order and stops at the type it
+        matched, so those three inputs fix every marker event.
+        """
         n = self._n
-        present = self._present
-        pre = decision.pre_evaluated
-        if all(present[z] == 0 or not pre[z] for z in range(n)):
-            self._idle[type_id].append(time)
+        total = pop.n_agents
+        times = pop.order_times
+        types = pop.order_types
+        serials = pop.order_serials
+        rows = np.arange(total)[:, None]
+        # flat[i]: arrival i's index in the type-major concatenation
+        base = np.concatenate(([0], np.cumsum([len(a) for a in pop.arrivals])))
+        flat = base[types] + serials
+
+        # present[i, x]: some x agent with a positive stay arrived before
+        # arrival i and has not departed by its time
+        deps = np.concatenate(pop.departures)[flat]
+        stays = deps > times
+        present = np.empty((total, n), dtype=bool)
         for x in range(n):
-            if present[x] > 0 and pre[x]:
-                self._inbound_real[x].append(time)
-        matched_type = (
-            decision.partner.type_id if decision.partner is not None else -1
-        )
-        blocked = False
-        for c in decision.attempts:
-            if c.attempted:
-                x = c.type_id
-                self._reached.setdefault((x, type_id), []).append(time)
-                if not blocked:
-                    self._first.setdefault((x, type_id), []).append(time)
-                    self._first_matched.setdefault((x, type_id), []).append(
-                        matched_type == x
-                    )
-                if present[x] > 0:
-                    blocked = True
-        if departure_time > time:
-            present[type_id] += 1
-            self._transitions[type_id].append((time, present[type_id]))
+            flag = stays & (types == x)
+            came = np.cumsum(flag) - flag
+            left = np.searchsorted(np.sort(deps[flag]), times, side="right")
+            present[:, x] = came > left
 
-    def on_departure(self, time: float, type_id: int, serial: int) -> None:
-        if self._present[type_id] == 1:
-            self._sole_real[type_id].append(time)
-        self._present[type_id] -= 1
-        self._transitions[type_id].append((time, self._present[type_id]))
+        # the type each arrival matched, -1 if none
+        rec = np.array(records, dtype=np.float64).reshape(-1, 6).astype(np.int64)
+        partner = np.full(total, -1, dtype=np.int64)
+        partner[base[rec[:, 3]] + rec[:, 4]] = rec[:, 1]
+        partner = partner[flat]
 
-    def on_end(self, horizon: float) -> None:
-        self._horizon = horizon
+        blocking = checks & present[rows, perm]
+        idle = ~blocking.any(axis=1)
+        pre = np.zeros((total, n), dtype=bool)
+        pre[rows, perm] = checks
+        self._idle = [times[idle & (types == x)] for x in range(n)]
+        self._inbound_real = [times[present[:, x] & pre[:, x]] for x in range(n)]
+
+        # a walk reaches the passing checks up to its matched type; first
+        # attempts stop at the first passing check on a present type
+        step = np.arange(n)
+        hit = perm == partner[:, None]
+        stop = np.where(hit.any(axis=1), hit.argmax(axis=1), n - 1)
+        unblocked = np.where(idle, n - 1, blocking.argmax(axis=1))
+        reached = checks & (step <= stop[:, None])
+        first = reached & (step <= unblocked[:, None])
+        self._reached = _by_pair(n, perm, types, reached, times)
+        self._first = _by_pair(n, perm, types, first, times)
+        self._first_matched = _by_pair(n, perm, types, first, partner[:, None] == perm)
+
+        self._sole_real = []
+        self._transitions = []
+        for x in range(n):
+            arr, dep = pop.arrivals[x], pop.departures[x]
+            stay = dep > arr
+            gone = np.nonzero(stay & (dep <= pop.horizon))[0]
+            d = dep[gone[np.argsort(dep[gone], kind="stable")]]
+            a = arr[stay]
+            # a departure precedes arrivals at its own time
+            before = np.searchsorted(a, d, side="left") - np.arange(len(d))
+            self._sole_real.append(d[before == 1])
+            when = np.concatenate((d, a))
+            arriving = np.concatenate((np.zeros(len(d), bool), np.ones(len(a), bool)))
+            order = np.lexsort((arriving, when))
+            counts = np.cumsum(np.where(arriving[order], 1, -1))
+            self._transitions.append((when[order], counts))
+        self._horizon = pop.horizon
 
     # -- post-run assembly -------------------------------------------------
 
@@ -212,10 +250,8 @@ class MarkerObserver:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Transition log -> (edge times, count on each segment); segment k
         spans [edges[k], edges[k+1]) with edges[-1] implied at the horizon."""
-        tr = self._transitions[type_id]
-        edges = np.concatenate(([0.0], [t for t, _ in tr]))
-        counts = np.concatenate(([0], [c for _, c in tr]))
-        return edges, counts
+        times, counts = self._transitions[type_id]
+        return np.concatenate(([0.0], times)), np.concatenate(([0], counts))
 
     def _clock_in_windows(
         self, clock_times: np.ndarray, edges: np.ndarray, active: np.ndarray
@@ -342,26 +378,36 @@ def instrument_z_events(
     seed: int,
     batch_count: int = 20,
 ) -> tuple[EventCounters, SimulationReport]:
-    """Run the random-order policy once with marker instrumentation.
+    """Run the random-order policy once and count its marker events.
 
-    The run itself uses the standard seed lanes (identical trace to an
-    uninstrumented run); clocks use instrumentation-only lanes. burn_in is
+    The run itself uses the standard seed lanes (identical to an
+    uninstrumented run); the marker post-pass reuses its decision blocks and
+    draws nothing, and clocks use instrumentation-only lanes. burn_in is
     zero so counter rates and report rates share a window.
     """
-    observer = MarkerObserver(instance, solution, gamma, seed, batch_count)
-    policy = PolicyConfig(kind=PolicyKind.ONLINE_MATCH, gamma=gamma)
-    _, report = run_simulation(
-        instance,
-        policy,
-        solution,
-        horizon=horizon,
-        burn_in=0.0,
-        seed=seed,
-        record_trace=False,
-        observer=observer,
+    report, pop, perm, checks, records = run_with_decisions(
+        instance, solution, gamma, horizon=horizon, seed=seed
     )
-    counters = observer.finish(report.pair_match_counts)
-    return counters, report
+    observer = MarkerObserver(instance, solution, gamma, seed, batch_count)
+    observer.observe(pop, perm, checks, records)
+    return observer.finish(report.pair_match_counts), report
+
+
+def _by_pair(
+    n: int, perm: np.ndarray, types: np.ndarray, mask: np.ndarray, values: np.ndarray
+) -> dict[tuple[int, int], np.ndarray]:
+    """Group the cells (i, k) of mask by the pair (perm[i, k], types[i]);
+    each group holds values, per arrival or per cell, in arrival order."""
+    ii, kk = np.nonzero(mask)
+    picked = values[ii, kk] if values.ndim == 2 else values[ii]
+    keys = perm[ii, kk] * n + types[ii]
+    order = np.argsort(keys, kind="stable")
+    keys, picked = keys[order], picked[order]
+    uniq, starts = np.unique(keys, return_index=True)
+    return {
+        (int(k) // n, int(k) % n): chunk
+        for k, chunk in zip(uniq, np.split(picked, starts[1:]))
+    }
 
 
 def merge_counters(parts: list[EventCounters]) -> EventCounters:

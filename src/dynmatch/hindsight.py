@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -221,6 +222,35 @@ def _components(n: int, adjacency: list[list[int]]) -> list[list[int]]:
     return out
 
 
+def _component_problems(
+    n: int, edges: list[tuple[int, int, float]]
+) -> Iterator[tuple[list[int], list[int], dict[tuple[int, int], float]]]:
+    """The connected components of two or more nodes of a graph on n
+    nodes, given as (i, j, weight) edges with i < j. Each comes as
+    (members, neighbour bitmasks, weights), where local index k (bit k of
+    a mask, an entry of a weight key) stands for members[k] and weights
+    are keyed both ways round."""
+    adjacency: list[list[int]] = [[] for _ in range(n)]
+    wmap: dict[tuple[int, int], float] = {}
+    for i, j, w in edges:
+        adjacency[i].append(j)
+        adjacency[j].append(i)
+        wmap[(i, j)] = w
+    for comp in _components(n, adjacency):
+        if len(comp) == 1:
+            continue
+        local = {node: k for k, node in enumerate(comp)}
+        neighbor_mask = [0] * len(comp)
+        weight: dict[tuple[int, int], float] = {}
+        for node in comp:
+            for other in adjacency[node]:
+                li, lj = local[node], local[other]
+                neighbor_mask[li] |= 1 << lj
+                key = (node, other) if node < other else (other, node)
+                weight[(li, lj)] = wmap[key]
+        yield comp, neighbor_mask, weight
+
+
 def max_weight_matching_exact(
     graph: CompatibilityGraph, exact_threshold: int = 20
 ) -> tuple[set[tuple[int, int]], float]:
@@ -230,34 +260,15 @@ def max_weight_matching_exact(
     component, since disconnected parts decompose exactly. A component
     larger than exact_threshold raises MatchingTooLargeError.
     """
-    n = graph.n_nodes
-    adjacency: list[list[int]] = [[] for _ in range(n)]
-    wmap: dict[tuple[int, int], float] = {}
-    for (i, j), w in zip(graph.edges, graph.weights):
-        adjacency[i].append(j)
-        adjacency[j].append(i)
-        wmap[(i, j)] = w
-
+    edges = [(i, j, w) for (i, j), w in zip(graph.edges, graph.weights)]
     matching: set[tuple[int, int]] = set()
     total = 0.0
-    for comp in _components(n, adjacency):
-        if len(comp) == 1:
-            continue
+    for comp, neighbor_mask, weight in _component_problems(graph.n_nodes, edges):
         if len(comp) > exact_threshold:
             raise MatchingTooLargeError(
                 f"component of {len(comp)} nodes exceeds the exact threshold "
                 f"{exact_threshold}"
             )
-        local = {node: k for k, node in enumerate(comp)}
-        neighbor_mask = [0] * len(comp)
-        weight: dict[tuple[int, int], float] = {}
-        for node in comp:
-            for other in adjacency[node]:
-                li, lj = local[node], local[other]
-                neighbor_mask[li] |= 1 << lj
-                key = (node, other) if node < other else (other, node)
-                weight[(min(li, lj), max(li, lj))] = wmap[key]
-                weight[(max(li, lj), min(li, lj))] = wmap[key]
         pairs, value = _mask_matching(comp, neighbor_mask, weight)
         matching.update((min(i, j), max(i, j)) for i, j in pairs)
         total += value
@@ -268,29 +279,14 @@ def max_weight_pool(n: int, weight) -> list[tuple[int, int]]:
     """Exact pool matcher for periodic clearing: n entries, weight(i, j)
     callable, returns disjoint index pairs of an optimal matching. Zero
     and negative weights never enter the graph."""
-    adjacency: list[list[int]] = [[] for _ in range(n)]
-    pairs_w: dict[tuple[int, int], float] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = weight(i, j)
-            if w > 0.0:
-                adjacency[i].append(j)
-                adjacency[j].append(i)
-                pairs_w[(i, j)] = w
+    edges = [
+        (i, j, w)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if (w := weight(i, j)) > 0.0
+    ]
     out: list[tuple[int, int]] = []
-    for comp in _components(n, adjacency):
-        if len(comp) == 1:
-            continue
-        local = {node: k for k, node in enumerate(comp)}
-        neighbor_mask = [0] * len(comp)
-        wlocal: dict[tuple[int, int], float] = {}
-        for node in comp:
-            for other in adjacency[node]:
-                li, lj = local[node], local[other]
-                neighbor_mask[li] |= 1 << lj
-                key = (node, other) if node < other else (other, node)
-                wlocal[(li, lj)] = pairs_w[key]
-                wlocal[(lj, li)] = pairs_w[key]
+    for comp, neighbor_mask, wlocal in _component_problems(n, edges):
         pairs, _ = _mask_matching(comp, neighbor_mask, wlocal)
         out.extend((min(i, j), max(i, j)) for i, j in pairs)
     out.sort()

@@ -2,9 +2,11 @@
 
 The main policy draws a fresh uniformly random type order at every arrival
 and walks it with pre-evaluated Bernoulli checks; greedy and periodic
-clearing are reference baselines. All state access goes through a small
-protocol (has_available / pop_oldest_available / any_present / instance)
-so the decision logic stays independent of the engine's internals.
+clearing are reference baselines. The step functions decide one arrival at
+a time through a small state protocol (has_available /
+pop_oldest_available / instance). The engine in simulate.py runs the same
+rules over all arrivals at once; these scalar steps are the reference its
+tests compare it against.
 
 Draw discipline for the random-order policy (frozen): each arrival consumes
 exactly 2n-1 values from its rng, n being the number of types; first n-1
@@ -86,18 +88,14 @@ class MarketStateView(Protocol):
 
     def pop_oldest_available(self, type_id: int) -> AgentId | None: ...
 
-    def any_present(self, type_id: int) -> bool: ...
-
 
 @dataclass(frozen=True)
 class Consideration:
-    """One iteration of the random-order walk: which type, whether the
-    pre-evaluated check passed, and whether a partner of that type was
-    present (not necessarily available) at decision time."""
+    """One iteration of the random-order walk: which type and whether the
+    pre-evaluated check passed."""
 
     type_id: int
     attempted: bool
-    partner_present: bool
 
 
 @dataclass(frozen=True)
@@ -186,8 +184,7 @@ def online_match_step(
     matches the FIFO-oldest such partner and stops the walk; a passing
     check with nobody available records an attempt and moves on.
 
-    The arriving agent must not be in the state yet; presence recorded in
-    the considerations therefore never includes the arriver itself.
+    The arriving agent must not be in the state yet.
     """
     instance = state.instance
     n = instance.n_types
@@ -207,7 +204,7 @@ def online_match_step(
     partner: AgentId | None = None
     for x in order:
         attempted = pre[x]
-        considered.append(Consideration(x, attempted, state.any_present(x)))
+        considered.append(Consideration(x, attempted))
         if attempted:
             candidate = state.pop_oldest_available(x)
             if candidate is not None:

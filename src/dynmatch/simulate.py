@@ -7,11 +7,16 @@ then walks arrivals in time order applying the policy. Departure times are
 sampled at arrival; matched agents keep their sampled departure as a shadow
 so presence statistics are policy-independent.
 
-Two execution paths produce identical results: a batch path that
-pre-evaluates all policy randomness with numpy and only touches queues in
-the per-arrival loop, and an observed path that replays events one at a
-time through the policy module and an observer hook. The observed path
-exists for instrumentation; the batch path is the default.
+Every policy but periodic clearing runs through one loop, _run_walks:
+each arrival walks a list of candidate types in order and matches the
+FIFO-oldest available agent of the first candidate that has one. The
+random-order policy's lists are its passing checks in permutation order,
+pre-evaluated for all arrivals in one numpy pass (_decision_blocks);
+greedy's list is fixed per arriving type. Periodic clearing matches only
+at clearing times, through MarketState and the exact pool matcher. The
+scalar step functions in policies.py are the reference this loop is
+tested against; diagnostics.py reads the same decision blocks after the
+run instead of watching it.
 
 Rng lane layout per run seed s (frozen):
     derive_seed(s, "arrivals")                arrival times + lifetimes,
@@ -34,21 +39,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Protocol
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .lp import LpSolution
 from .market import AgentId, MarketInstance, validate_instance
-from .policies import (
-    MatchDecision,
-    PolicyConfig,
-    PolicyKind,
-    attempt_probabilities,
-    greedy_step,
-    online_match_step,
-    periodic_clear,
-)
+from .policies import PolicyConfig, PolicyKind, attempt_probabilities, periodic_clear
 from .randomness import Rng, derive_seed, sample_homogeneous_stream
 
 _INV53 = 2.0 ** -53
@@ -176,21 +173,18 @@ def generate_population(
 
 
 class MarketState:
-    """Available-agent queues plus shadow-presence counters.
+    """Available-agent queues for periodic clearing.
 
-    Queues hold serials in arrival order and are purged lazily: an entry
-    whose departure time has passed the clock is dropped on access, so no
-    departure sweep is needed on the hot path. present_shadow counts
-    matched-but-not-departed agents and is maintained only by the observed
-    engine path (the batch path never reads presence).
+    Queues hold serials in arrival order. Departed agents are dropped when
+    a clearing takes its snapshot, so no departure sweep runs between
+    clearings.
     """
 
-    __slots__ = ("instance", "clock", "present_shadow", "_queues", "_arr", "_dep")
+    __slots__ = ("instance", "clock", "_queues", "_arr", "_dep")
 
     def __init__(self, instance: MarketInstance, population: Population):
         self.instance = instance
         self.clock = 0.0
-        self.present_shadow = [0] * instance.n_types
         self._queues: list[deque[int]] = [deque() for _ in instance.types]
         self._arr = [a.tolist() for a in population.arrivals]
         self._dep = [d.tolist() for d in population.departures]
@@ -207,28 +201,9 @@ class MarketState:
     def push(self, type_id: int, serial: int) -> None:
         self._queues[type_id].append(serial)
 
-    def _purge(self, type_id: int) -> deque[int]:
-        q = self._queues[type_id]
-        dep = self._dep[type_id]
-        while q and dep[q[0]] <= self.clock:
-            q.popleft()
-        return q
-
-    def has_available(self, type_id: int) -> bool:
-        return bool(self._purge(type_id))
-
-    def pop_oldest_available(self, type_id: int) -> AgentId | None:
-        q = self._purge(type_id)
-        if not q:
-            return None
-        return AgentId(type_id, q.popleft())
-
-    def any_present(self, type_id: int) -> bool:
-        return self.present_shadow[type_id] > 0 or self.has_available(type_id)
-
     def snapshot_available(self) -> list[AgentId]:
-        # head purging is not enough here: a departed agent can sit behind a
-        # live head, so rebuild each queue keeping only live entries
+        # a departed agent can sit behind a live one, so rebuild each queue
+        # keeping only live entries
         out: list[AgentId] = []
         for x in range(self.instance.n_types):
             q = self._queues[x]
@@ -241,29 +216,6 @@ class MarketState:
 
     def remove_available(self, agent: AgentId) -> None:
         self._queues[agent.type_id].remove(agent.serial)
-
-
-class SimulationObserver(Protocol):
-    """Hook interface for the observed engine path.
-
-    Callbacks arrive in event order, departures before same-time arrivals.
-    on_arrival carries the agent's sampled departure time so observers can
-    track presence without duplicating lifetime draws; on_departure fires
-    only for agents with positive presence (an impatient agent's zero-length
-    stay generates no callback)."""
-
-    def on_arrival(
-        self,
-        time: float,
-        type_id: int,
-        serial: int,
-        departure_time: float,
-        decision: MatchDecision,
-    ) -> None: ...
-
-    def on_departure(self, time: float, type_id: int, serial: int) -> None: ...
-
-    def on_end(self, horizon: float) -> None: ...
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +238,6 @@ class SimulationReport:
     pair_match_counts: tuple[tuple[int, ...], ...]
     pair_match_rates: tuple[tuple[float, ...], ...]
     presence_frequency: tuple[float, ...]
-    value_se: float | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -302,7 +253,6 @@ class SimulationReport:
             "pair_match_counts": [list(r) for r in self.pair_match_counts],
             "pair_match_rates": [list(r) for r in self.pair_match_rates],
             "presence_frequency": list(self.presence_frequency),
-            "value_se": self.value_se,
         }
 
 
@@ -351,24 +301,13 @@ def _ordered_pair(
 # the engine
 
 
-def run_simulation(
+def _checked_burn_in(
     instance: MarketInstance,
     policy: PolicyConfig,
-    solution: LpSolution | None = None,
-    *,
+    solution: LpSolution | None,
     horizon: float,
-    burn_in: float | None = None,
-    seed: int,
-    record_trace: bool = True,
-    observer: "SimulationObserver | None" = None,
-) -> tuple[EventTrace, SimulationReport]:
-    """Simulate one run and summarize it.
-
-    burn_in defaults to horizon/100. A zero horizon is a valid degenerate
-    run (empty trace, zero report). The random-order policy requires an LP
-    solution; observers are only supported under it, because the hook
-    contract exposes its decision structure.
-    """
+    burn_in: float | None,
+) -> float:
     violations = validate_instance(instance)
     if violations:
         raise ValueError("invalid instance: " + "; ".join(v.code for v in violations))
@@ -384,39 +323,89 @@ def run_simulation(
         if solution is None:
             raise ValueError("the random-order policy requires an LP solution")
         attempt_probabilities(instance, solution, policy.gamma)  # validates shape
-    if observer is not None and policy.kind is not PolicyKind.ONLINE_MATCH:
-        raise ValueError("observers are only supported under the random-order policy")
+    return burn_in
 
-    n = instance.n_types
+
+def run_simulation(
+    instance: MarketInstance,
+    policy: PolicyConfig,
+    solution: LpSolution | None = None,
+    *,
+    horizon: float,
+    burn_in: float | None = None,
+    seed: int,
+    record_trace: bool = True,
+) -> tuple[EventTrace, SimulationReport]:
+    """Simulate one run and summarize it.
+
+    burn_in defaults to horizon/100. A zero horizon is a valid degenerate
+    run (empty trace, zero report). The random-order policy requires an LP
+    solution.
+    """
+    burn_in = _checked_burn_in(instance, policy, solution, horizon, burn_in)
     pop = generate_population(instance, horizon, seed)
-
-    if observer is not None:
-        records, matched = _run_observed(instance, policy, solution, pop, seed, observer)
+    if policy.kind is PolicyKind.ONLINE_MATCH:
+        walks = _candidate_walks(*_decision_blocks(instance, policy, solution, pop, seed))
+        records, matched = _run_walks(instance, pop, walks)
+    elif policy.kind is PolicyKind.GREEDY:
+        records, matched = _run_walks(instance, pop, _greedy_walks(instance, pop))
+    elif policy.kind is PolicyKind.PERIODIC_CLEAR:
+        records, matched = _run_clearing(instance, policy, pop)
     else:
-        records, matched = _run_batch(instance, policy, solution, pop, seed, record_trace)
-
+        records, matched = [], [bytearray(len(a)) for a in pop.arrivals]
     return _build_outputs(
         instance, policy, pop, records, matched, horizon, burn_in, seed, record_trace
     )
 
 
+def run_with_decisions(
+    instance: MarketInstance,
+    solution: LpSolution,
+    gamma: float,
+    *,
+    horizon: float,
+    seed: int,
+) -> tuple[SimulationReport, Population, np.ndarray, np.ndarray, list[_MatchRecord]]:
+    """The random-order run at zero burn-in, plus what it decided from.
+
+    Returns the report, the population, the decision blocks (perm, checks)
+    of _decision_blocks and the match records, arriver in slot b. The run
+    is the one run_simulation makes on the same seed and lanes.
+    """
+    policy = PolicyConfig(kind=PolicyKind.ONLINE_MATCH, gamma=gamma)
+    _checked_burn_in(instance, policy, solution, horizon, 0.0)
+    pop = generate_population(instance, horizon, seed)
+    perm, checks = _decision_blocks(instance, policy, solution, pop, seed)
+    records, matched = _run_walks(instance, pop, _candidate_walks(perm, checks))
+    _, report = _build_outputs(
+        instance, policy, pop, records, matched, horizon, 0.0, seed, False
+    )
+    return report, pop, perm, checks, records
+
+
 def _decision_blocks(
-    n: int,
+    instance: MarketInstance,
+    policy: PolicyConfig,
+    solution: LpSolution,
     pop: Population,
-    probs: np.ndarray,
-    rng: Rng,
-) -> tuple[list[int], list[int]]:
+    seed: int,
+) -> tuple[np.ndarray, np.ndarray]:
     """Pre-evaluate every arrival's policy randomness in one numpy pass.
 
-    Returns (offsets, candidates): candidates[offsets[i]:offsets[i+1]] are
-    the types whose check passed for arrival i, in permutation-position
-    order. Consumes exactly 2n-1 draws per arrival, bit-identical to the
-    scalar walk in policies.online_match_step.
+    Returns (perm, checks), both (arrivals, n): row i is arrival i's type
+    permutation and its check outcomes in permutation-position order.
+    Consumes exactly 2n-1 draws per arrival from the decisions lane,
+    bit-identical to the scalar walk in policies.online_match_step.
     """
+    n = instance.n_types
     total = pop.n_agents
     stride = 2 * n - 1
     if total == 0:
-        return [0], []
+        return np.zeros((0, n), dtype=np.int64), np.zeros((0, n), dtype=bool)
+    probs = np.array(
+        attempt_probabilities(instance, solution, policy.gamma), dtype=np.float64
+    )
+    rng = Rng(derive_seed(seed, "decisions", policy.lane_token()))
     raw = rng.uint64_block(total * stride).reshape(total, stride)
     perm = np.tile(np.arange(n, dtype=np.int64), (total, 1))
     rows = np.arange(total)
@@ -431,98 +420,81 @@ def _decision_blocks(
         np.float64
     ) * _INV53
     checks = uniforms <= probs[perm, pop.order_types[:, None]]
+    return perm, checks
+
+
+def _candidate_walks(perm: np.ndarray, checks: np.ndarray) -> Iterator[list[int]]:
+    """Per arrival, the types whose check passed, in permutation order."""
     offsets = np.concatenate(([0], np.cumsum(checks.sum(axis=1)))).tolist()
     candidates = perm[np.nonzero(checks)].tolist()
-    return offsets, candidates
+    return map(candidates.__getitem__, map(slice, offsets, offsets[1:]))
 
 
-def _run_batch(
-    instance: MarketInstance,
-    policy: PolicyConfig,
-    solution: LpSolution | None,
-    pop: Population,
-    seed: int,
-    record_trace: bool,
+def _greedy_walks(instance: MarketInstance, pop: Population) -> Iterator[list[int]]:
+    """Per arrival of type y, the types x with v_xy > 0 by descending value,
+    ties to the lower id: policies.greedy_step's preference order."""
+    values = instance.values.dense()
+    n = instance.n_types
+    by_type = [
+        sorted((x for x in range(n) if values[x][y] > 0.0), key=lambda x: (-values[x][y], x))
+        for y in range(n)
+    ]
+    return map(by_type.__getitem__, pop.order_types.tolist())
+
+
+def _run_walks(
+    instance: MarketInstance, pop: Population, walks: Iterable[Sequence[int]]
 ) -> tuple[list[_MatchRecord], list[bytearray]]:
+    """The engine loop: arrival i tries the types of its walk in order and
+    matches the FIFO-oldest available agent of the first that has one; an
+    unmatched patient arrival joins its type's queue. Queues are purged
+    lazily, dropping departed heads as a walk meets them."""
     n = instance.n_types
     matched = [bytearray(len(a)) for a in pop.arrivals]
     records: list[_MatchRecord] = []
-    if policy.kind is PolicyKind.NO_OP or pop.n_agents == 0:
-        return records, matched
-
-    if policy.kind is PolicyKind.ONLINE_MATCH:
-        assert solution is not None
-        times = pop.order_times.tolist()
-        types = pop.order_types.tolist()
-        serials = pop.order_serials.tolist()
-        arrs = [a.tolist() for a in pop.arrivals]
-        deps = [d.tolist() for d in pop.departures]
-        values = instance.values.dense()
-        queues: list[deque[int]] = [deque() for _ in range(n)]
-        probs = np.array(
-            attempt_probabilities(instance, solution, policy.gamma), dtype=np.float64
-        )
-        drng = Rng(derive_seed(seed, "decisions", policy.lane_token()))
-        offsets, cand = _decision_blocks(n, pop, probs, drng)
-        for i in range(pop.n_agents):
-            t = times[i]
-            y = types[i]
-            s = serials[i]
-            found = -1
-            px = -1
-            for c in range(offsets[i], offsets[i + 1]):
-                x = cand[c]
-                q = queues[x]
-                dx = deps[x]
-                while q:
-                    cs = q.popleft()
-                    if dx[cs] > t:
-                        found = cs
-                        px = x
-                        break
-                if found >= 0:
+    deps = [d.tolist() for d in pop.departures]
+    values = instance.values.dense()
+    queues: list[deque[int]] = [deque() for _ in range(n)]
+    arrivals = zip(
+        pop.order_times.tolist(),
+        pop.order_types.tolist(),
+        pop.order_serials.tolist(),
+        walks,
+    )
+    for t, y, s, walk in arrivals:
+        found = -1
+        for x in walk:
+            q = queues[x]
+            dx = deps[x]
+            while q:
+                cs = q.popleft()
+                if dx[cs] > t:
+                    found = cs
                     break
             if found >= 0:
-                matched[px][found] = 1
-                matched[y][s] = 1
-                records.append(
-                    _ordered_pair(t, arrs[px][found], px, found, t, y, s, values[px][y])
-                )
-            elif deps[y][s] > t:
-                queues[y].append(s)
-        return records, matched
+                break
+        if found >= 0:
+            matched[x][found] = 1
+            matched[y][s] = 1
+            # the partner is earlier in (time, type, serial) order: slot a
+            records.append((t, x, found, y, s, values[x][y]))
+        elif deps[y][s] > t:
+            queues[y].append(s)
+    return records, matched
 
-    # the remaining policies have no per-arrival randomness and no hot-path
-    # pressure, so they run through the same step functions the tests use
-    state = MarketState(instance, pop)
-    values = instance.values
 
-    if policy.kind is PolicyKind.GREEDY:
-        for i in range(pop.n_agents):
-            t = float(pop.order_times[i])
-            y = int(pop.order_types[i])
-            s = int(pop.order_serials[i])
-            state.set_clock(t)
-            agent = AgentId(y, s)
-            decision = greedy_step(state, agent, values)
-            if decision.partner is not None:
-                p = decision.partner
-                matched[p.type_id][p.serial] = 1
-                matched[y][s] = 1
-                records.append(
-                    _ordered_pair(
-                        t, state.arrival_time(p), p.type_id, p.serial, t, y, s,
-                        values.get(p.type_id, y),
-                    )
-                )
-            elif state.departure_time(agent) > t:
-                state.push(y, s)
-        return records, matched
-
-    # periodic clearing: arrivals only queue up; matches happen at clear times
-    assert policy.kind is PolicyKind.PERIODIC_CLEAR and policy.clear_period
+def _run_clearing(
+    instance: MarketInstance, policy: PolicyConfig, pop: Population
+) -> tuple[list[_MatchRecord], list[bytearray]]:
+    """Periodic clearing: arrivals only queue up; matches happen at clear
+    times, on the pool of available agents."""
     from .hindsight import max_weight_pool  # local import; hindsight imports us
 
+    assert policy.clear_period
+    matched = [bytearray(len(a)) for a in pop.arrivals]
+    records: list[_MatchRecord] = []
+    state = MarketState(instance, pop)
+    values = instance.values
     period = policy.clear_period
     clear_times = [
         k * period
@@ -558,80 +530,6 @@ def _run_batch(
     while ci < len(clear_times):
         do_clear(clear_times[ci])
         ci += 1
-    return records, matched
-
-
-def _run_observed(
-    instance: MarketInstance,
-    policy: PolicyConfig,
-    solution: LpSolution,
-    pop: Population,
-    seed: int,
-    observer: SimulationObserver,
-) -> tuple[list[_MatchRecord], list[bytearray]]:
-    """Event-at-a-time replay through the policy module plus observer hooks.
-
-    Produces exactly the matches of the batch path: same rng lanes, same
-    queue discipline, one decision at a time.
-    """
-    n = instance.n_types
-    state = MarketState(instance, pop)
-    matched = [bytearray(len(a)) for a in pop.arrivals]
-    records: list[_MatchRecord] = []
-    values = instance.values.dense()
-    probs = attempt_probabilities(instance, solution, policy.gamma)
-    drng = Rng(derive_seed(seed, "decisions", policy.lane_token()))
-
-    # departures with positive presence, time-sorted; zero-length agents
-    # never become present so they get no departure processing
-    dep_entries: list[tuple[float, int, int]] = []
-    for x in range(n):
-        arr = pop.arrivals[x]
-        dep = pop.departures[x]
-        for s in np.nonzero((dep > arr) & (dep <= pop.horizon))[0]:
-            dep_entries.append((float(dep[s]), x, int(s)))
-    dep_entries.sort()
-
-    di = 0
-    n_dep = len(dep_entries)
-    for i in range(pop.n_agents):
-        t = float(pop.order_times[i])
-        y = int(pop.order_types[i])
-        s = int(pop.order_serials[i])
-        while di < n_dep and dep_entries[di][0] <= t:
-            dt, dx, ds = dep_entries[di]
-            di += 1
-            state.set_clock(dt)
-            observer.on_departure(dt, dx, ds)
-            if matched[dx][ds]:
-                state.present_shadow[dx] -= 1
-        state.set_clock(t)
-        agent = AgentId(y, s)
-        decision = online_match_step(state, agent, solution, policy.gamma, drng, probs)
-        observer.on_arrival(t, y, s, state.departure_time(agent), decision)
-        if decision.partner is not None:
-            p = decision.partner
-            matched[p.type_id][p.serial] = 1
-            matched[y][s] = 1
-            state.present_shadow[p.type_id] += 1
-            if state.departure_time(agent) > t:
-                state.present_shadow[y] += 1
-            records.append(
-                _ordered_pair(
-                    t, state.arrival_time(p), p.type_id, p.serial, t, y, s,
-                    values[p.type_id][y],
-                )
-            )
-        elif state.departure_time(agent) > t:
-            state.push(y, s)
-    while di < n_dep:
-        dt, dx, ds = dep_entries[di]
-        di += 1
-        state.set_clock(dt)
-        observer.on_departure(dt, dx, ds)
-        if matched[dx][ds]:
-            state.present_shadow[dx] -= 1
-    observer.on_end(pop.horizon)
     return records, matched
 
 

@@ -1,11 +1,14 @@
 """Command-line contract: exit codes, file outputs, config handling."""
 
 import json
+import random
 
 import pytest
 
-from dynmatch import read_trace_csv
+from dynmatch import emit_instance, read_trace_csv
 from dynmatch.cli import main
+
+from helpers import random_instance
 
 ONE_TYPE_DOC = {
     "types": [{"label": "solo", "arrival_rate": 1.0, "departure_rate": 1.0}],
@@ -74,6 +77,16 @@ class TestLp:
         assert len(doc["alpha"]) == 1
         text = capsys.readouterr().out
         assert "maximize" in text and "subject to" in text
+
+    def test_large_market_prints_a_summary(self, tmp_path, capsys):
+        # 40 types: 3,240 rows; the dense tableau would be tens of megabytes
+        inst = random_instance(random.Random(40), 40)
+        p = tmp_path / "wide.json"
+        p.write_text(emit_instance(inst))
+        assert main(["lp", str(p), "--out", str(tmp_path / "lp.json")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) <= 5
+        assert any("3240 row(s)" in line and "1600 variable(s)" in line for line in lines)
 
     def test_out_flag_required(self, one_type_file):
         with pytest.raises(SystemExit) as err:

@@ -1,8 +1,8 @@
 """Marker-event instrumentation and the empirical rate-bound checks.
 
-These runs use the instrumented engine path at moderate horizons; the
-statistical assertions have several standard errors of slack on top of the
-5% bands they test.
+These are instrumented runs (the engine plus the marker post-pass) at
+moderate horizons; the statistical assertions have several standard errors
+of slack on top of the 5% bands they test.
 """
 
 import math

@@ -1,0 +1,263 @@
+"""The engine loop and the marker post-pass against event-at-a-time replays.
+
+The replays here decide one arrival at a time through the scalar step
+functions (policies.online_match_step, policies.greedy_step) over a plain
+list of available agents, and count marker events the way an observer
+watching those decisions would: departures processed before same-time
+arrivals, a presence counter of its own. run_simulation's match records
+and instrument_z_events' counters must equal theirs exactly.
+"""
+
+import random
+
+import numpy as np
+import pytest
+
+from dynmatch import (
+    AgentId,
+    PolicyConfig,
+    PolicyKind,
+    Rng,
+    attempt_probabilities,
+    derive_seed,
+    generate_population,
+    greedy_step,
+    instrument_z_events,
+    online_match_step,
+    run_simulation,
+    simulate,
+    solve_upper_bound,
+)
+from dynmatch.diagnostics import MarkerObserver
+from dynmatch.simulate import Population
+
+from golden.capture import counters_doc
+from helpers import make_instance
+
+
+class ListState:
+    """Available agents as one list in arrival order; an agent is live
+    while its departure lies after the clock."""
+
+    def __init__(self, instance, pop):
+        self.instance = instance
+        self.departures = pop.departures
+        self.clock = 0.0
+        self.pool = []
+
+    def advance(self, t):
+        self.clock = t
+        self.pool = [a for a in self.pool if self.departure(a) > t]
+
+    def departure(self, agent):
+        return float(self.departures[agent.type_id][agent.serial])
+
+    def has_available(self, type_id):
+        return any(a.type_id == type_id for a in self.pool)
+
+    def pop_oldest_available(self, type_id):
+        for k, a in enumerate(self.pool):
+            if a.type_id == type_id:
+                return self.pool.pop(k)
+        return None
+
+
+def arrivals(pop):
+    return zip(pop.order_times.tolist(), pop.order_types.tolist(),
+               pop.order_serials.tolist())
+
+
+def replay(instance, pop, decide):
+    """Match records (time, a_type, a_serial, b_type, b_serial, value),
+    sorted, plus each arrival's decision."""
+    state = ListState(instance, pop)
+    records, decisions = [], []
+    for t, y, s in arrivals(pop):
+        state.advance(t)
+        agent = AgentId(y, s)
+        d = decide(state, agent)
+        decisions.append(d)
+        if d.partner is not None:
+            p = d.partner
+            records.append((t, p.type_id, p.serial, y, s,
+                            instance.values.get(p.type_id, y)))
+        elif state.departure(agent) > t:
+            state.pool.append(agent)
+    return sorted(records), decisions
+
+
+def online_decider(instance, solution, gamma, seed):
+    policy = PolicyConfig(kind=PolicyKind.ONLINE_MATCH, gamma=gamma)
+    rng = Rng(derive_seed(seed, "decisions", policy.lane_token()))
+    probs = attempt_probabilities(instance, solution, gamma)
+    return lambda state, agent: online_match_step(state, agent, solution, gamma, rng, probs)
+
+
+def replay_markers(instance, solution, gamma, pop, seed):
+    """A MarkerObserver filled event by event from the scalar replay."""
+    n = instance.n_types
+    _, decisions = replay(instance, pop, online_decider(instance, solution, gamma, seed))
+    present = [0] * n
+    transitions = [[] for _ in range(n)]
+    idle = [[] for _ in range(n)]
+    inbound = [[] for _ in range(n)]
+    sole = [[] for _ in range(n)]
+    first, first_matched, reached = {}, {}, {}
+    leaving = sorted(
+        (float(dep[s]), x, s)
+        for x, (arr, dep) in enumerate(zip(pop.arrivals, pop.departures))
+        for s in range(len(arr))
+        if arr[s] < dep[s] <= pop.horizon
+    )
+    leaving.append((float("inf"), -1, -1))
+    k = 0
+
+    def depart_until(t):
+        nonlocal k
+        while leaving[k][0] <= t:
+            dt, x, _ = leaving[k]
+            k += 1
+            if present[x] == 1:
+                sole[x].append(dt)
+            present[x] -= 1
+            transitions[x].append((dt, present[x]))
+
+    for (t, y, s), d in zip(arrivals(pop), decisions):
+        depart_until(t)
+        pre = d.pre_evaluated
+        if all(present[z] == 0 or not pre[z] for z in range(n)):
+            idle[y].append(t)
+        for x in range(n):
+            if present[x] > 0 and pre[x]:
+                inbound[x].append(t)
+        matched_type = d.partner.type_id if d.partner is not None else -1
+        blocked = False
+        for c in d.attempts:
+            if c.attempted:
+                x = c.type_id
+                reached.setdefault((x, y), []).append(t)
+                if not blocked:
+                    first.setdefault((x, y), []).append(t)
+                    first_matched.setdefault((x, y), []).append(matched_type == x)
+                if present[x] > 0:
+                    blocked = True
+        if pop.departures[y][s] > t:
+            present[y] += 1
+            transitions[y].append((t, present[y]))
+    depart_until(pop.horizon)
+
+    obs = MarkerObserver(instance, solution, gamma, seed)
+    obs._idle = [np.array(v) for v in idle]
+    obs._inbound_real = [np.array(v) for v in inbound]
+    obs._sole_real = [np.array(v) for v in sole]
+    obs._transitions = [
+        (np.array([w for w, _ in tr]), np.array([c for _, c in tr])) for tr in transitions
+    ]
+    obs._first = {key: np.array(v) for key, v in first.items()}
+    obs._first_matched = {key: np.array(v, dtype=bool) for key, v in first_matched.items()}
+    obs._reached = {key: np.array(v) for key, v in reached.items()}
+    obs._horizon = pop.horizon
+    return obs
+
+
+def tied_instance(rng, n_types):
+    """Random market, impatient types allowed, values from {0, 1/2, 1} so
+    that greedy meets ties."""
+    types = []
+    for i in range(n_types):
+        mu = None if rng.random() < 0.3 else rng.uniform(0.3, 2.0)
+        types.append((f"t{i}", rng.uniform(0.3, 2.0), mu))
+    values = {
+        (i, j): v
+        for i in range(n_types)
+        for j in range(i, n_types)
+        if (v := rng.choice([0.0, 0.5, 0.5, 1.0, 1.0])) > 0.0
+    }
+    return make_instance(types, values)
+
+
+def engine_records(instance, policy, solution, horizon, seed):
+    trace, _ = run_simulation(instance, policy, solution, horizon=horizon, seed=seed)
+    return [(m.time, m.agent_a.type_id, m.agent_a.serial, m.agent_b.type_id,
+             m.agent_b.serial, m.value) for m in trace.matches()]
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_engine_matches_scalar_steps(seed):
+    rng = random.Random(seed)
+    instance = tied_instance(rng, rng.randint(1, 5))
+    horizon = 80.0
+    pop = generate_population(instance, horizon, seed)
+
+    greedy = PolicyConfig(kind=PolicyKind.GREEDY)
+    expected, _ = replay(instance, pop, lambda st, a: greedy_step(st, a, instance.values))
+    assert engine_records(instance, greedy, None, horizon, seed) == expected
+
+    solution = solve_upper_bound(instance)
+    gamma = rng.choice([0.5, 0.75, 1.0])
+    online = PolicyConfig(kind=PolicyKind.ONLINE_MATCH, gamma=gamma)
+    expected, _ = replay(instance, pop, online_decider(instance, solution, gamma, seed))
+    assert engine_records(instance, online, solution, horizon, seed) == expected
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_marker_post_pass_matches_event_replay(seed):
+    rng = random.Random(1000 + seed)
+    instance = tied_instance(rng, rng.randint(1, 5))
+    solution = solve_upper_bound(instance)
+    gamma = rng.choice([0.5, 0.75, 1.0])
+    horizon = 150.0
+    counters, report = instrument_z_events(
+        instance, solution, gamma, horizon=horizon, seed=seed
+    )
+    pop = generate_population(instance, horizon, seed)
+    expected = replay_markers(instance, solution, gamma, pop, seed).finish(
+        report.pair_match_counts
+    )
+    assert counters_doc(counters) == counters_doc(expected)
+
+
+def lattice_population(instance, horizon, rng):
+    """Arrivals and lifetimes on a grid of step 1/2, so that arrivals share
+    times and departures land on arrival instants: the ties that the
+    engine's conventions decide and a sampled population never shows."""
+    arrs, deps = [], []
+    for t in instance.types:
+        count = rng.randint(0, int(2 * horizon))
+        arr = np.sort([rng.randint(0, int(2 * horizon)) / 2 for _ in range(count)])
+        life = [0.0 if t.impatient else rng.randint(0, 6) / 2 for _ in range(count)]
+        arrs.append(np.asarray(arr, dtype=np.float64))
+        deps.append(arrs[-1] + np.asarray(life, dtype=np.float64))
+    all_t = np.concatenate(arrs)
+    all_x = np.concatenate([np.full(len(a), x) for x, a in enumerate(arrs)])
+    all_s = np.concatenate([np.arange(len(a)) for a in arrs])
+    idx = np.argsort(all_t, kind="stable")
+    return Population(tuple(arrs), tuple(deps), all_t[idx], all_x[idx].astype(np.int64),
+                      all_s[idx].astype(np.int64), horizon)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_ties_follow_the_scalar_steps(seed, monkeypatch):
+    rng = random.Random(2000 + seed)
+    instance = tied_instance(rng, rng.randint(1, 4))
+    horizon = 30.0
+    pop = lattice_population(instance, horizon, rng)
+    monkeypatch.setattr(simulate, "generate_population", lambda *args: pop)
+    solution = solve_upper_bound(instance)
+    gamma = rng.choice([0.5, 0.75, 1.0])
+
+    greedy = PolicyConfig(kind=PolicyKind.GREEDY)
+    expected, _ = replay(instance, pop, lambda st, a: greedy_step(st, a, instance.values))
+    assert engine_records(instance, greedy, None, horizon, seed) == expected
+
+    online = PolicyConfig(kind=PolicyKind.ONLINE_MATCH, gamma=gamma)
+    expected, _ = replay(instance, pop, online_decider(instance, solution, gamma, seed))
+    assert engine_records(instance, online, solution, horizon, seed) == expected
+
+    counters, report = instrument_z_events(
+        instance, solution, gamma, horizon=horizon, seed=seed
+    )
+    expected = replay_markers(instance, solution, gamma, pop, seed).finish(
+        report.pair_match_counts
+    )
+    assert counters_doc(counters) == counters_doc(expected)

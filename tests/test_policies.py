@@ -46,9 +46,6 @@ class FakeState:
                 return self.pool.pop(k)
         return None
 
-    def any_present(self, type_id):
-        return self.has_available(type_id)
-
     def snapshot_available(self):
         return list(self.pool)
 
@@ -121,7 +118,6 @@ class TestOnlineStep:
         assert not d.matched and d.partner is None
         assert len(d.attempts) == inst.n_types
         assert sorted(c.type_id for c in d.attempts) == [0, 1]
-        assert all(not c.partner_present for c in d.attempts)
 
     def test_zero_alpha_never_attempts(self):
         inst = one_type()
@@ -171,7 +167,6 @@ class TestOnlineStep:
                 # visited the empty type first: that attempt must be on
                 # record as a miss, and the walk carried on
                 assert d.attempts[0].attempted
-                assert not d.attempts[0].partner_present
                 assert considered == [0, 1]
             else:
                 assert considered == [1]

@@ -1,8 +1,9 @@
 """Event engine: population sampling, policy runs, traces, reports.
 
-The same seed must reproduce a run bit for bit, and the batch fast path
-must agree with the instrumented path event for event; most tests here are
-exact-equality checks on those contracts.
+The same seed must reproduce a run bit for bit; most tests here are
+exact-equality checks on that contract. The engine loop's agreement with
+the scalar policy steps is in test_engine_reference.py, and frozen outputs
+are in test_golden.py.
 """
 
 import math
@@ -277,60 +278,6 @@ class TestPresence:
         for x in range(inst.n_types):
             assert report.presence_frequency[x] == pytest.approx(
                 presence_frequency(trace, inst, x), abs=1e-12
-            )
-
-
-class _RecordingObserver:
-    def __init__(self):
-        self.arrivals = 0
-        self.departures = 0
-        self.ended_at = None
-
-    def on_arrival(self, time, type_id, serial, departure_time, decision):
-        self.arrivals += 1
-
-    def on_departure(self, time, type_id, serial):
-        self.departures += 1
-
-    def on_end(self, horizon):
-        self.ended_at = horizon
-
-
-class TestObservedPath:
-    def test_observer_path_reproduces_batch_trace(self):
-        inst = mixed_instance()
-        sol = solve_upper_bound(inst)
-        fast, fast_rep = run_simulation(inst, ONLINE, sol, horizon=400.0, seed=61)
-        obs = _RecordingObserver()
-        slow, slow_rep = run_simulation(
-            inst, ONLINE, sol, horizon=400.0, seed=61, observer=obs
-        )
-        assert fast.events == slow.events
-        assert fast_rep.to_dict() == slow_rep.to_dict()
-
-    def test_observer_sees_every_positive_stay_agent(self):
-        inst = mixed_instance()
-        sol = solve_upper_bound(inst)
-        obs = _RecordingObserver()
-        trace, _ = run_simulation(
-            inst, ONLINE, sol, horizon=300.0, seed=62, observer=obs
-        )
-        n_arr = sum(1 for e in trace if isinstance(e, ArrivalEvent))
-        departures_in = sum(
-            1
-            for e in trace
-            if isinstance(e, DepartureEvent)
-            and e.agent.type_id != 2  # impatient: zero-length, not observed
-        )
-        assert obs.arrivals == n_arr
-        assert obs.departures == departures_in
-        assert obs.ended_at == 300.0
-
-    def test_observer_rejected_off_the_online_policy(self):
-        with pytest.raises(ValueError):
-            run_simulation(
-                one_type(), GREEDY, None, horizon=10.0, seed=1,
-                observer=_RecordingObserver(),
             )
 
 
