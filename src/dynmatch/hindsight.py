@@ -26,13 +26,7 @@ import numpy as np
 
 from .market import AgentId, MarketInstance, validate_instance
 from .randomness import derive_seed
-from .simulate import (
-    ArrivalEvent,
-    DepartureEvent,
-    EventTrace,
-    Population,
-    generate_population,
-)
+from .simulate import EventTrace, Population, generate_population
 
 
 class MatchingTooLargeError(RuntimeError):
@@ -115,32 +109,33 @@ def build_compatibility_graph(
     """
     if not trace.complete:
         raise ValueError("compatibility graph needs a recorded trace")
-    arr: dict[AgentId, float] = {}
-    dep: dict[AgentId, float] = {}
-    for e in trace.events:
-        if isinstance(e, ArrivalEvent):
-            arr[e.agent] = e.time
-        elif isinstance(e, DepartureEvent):
-            dep[e.agent] = e.time
-    for agent in dep:
-        if agent not in arr:
-            raise ValueError(f"trace missing lifetime data: {agent.text()} never arrives")
-    nodes = [
-        GraphNode(agent, t, dep.get(agent, math.inf))
-        for agent, t in arr.items()
-    ]
-    nodes.sort(key=lambda nd: (nd.arrival, nd.agent.type_id, nd.agent.serial))
-    return _build_graph(nodes, instance, trace.horizon)
+    types, serials, arrivals, departures, orphans = trace.lifetimes()
+    if len(orphans):
+        agent = AgentId(int(trace.a_type[orphans[0]]), int(trace.a_serial[orphans[0]]))
+        raise ValueError(f"trace missing lifetime data: {agent.text()} never arrives")
+    return _build_graph(
+        _graph_nodes(types, serials, arrivals, departures), instance, trace.horizon
+    )
 
 
 def _graph_from_population(pop: Population, instance: MarketInstance) -> CompatibilityGraph:
-    nodes = [
-        GraphNode(AgentId(x, s), float(arr[s]), float(dep[s]))
-        for x, (arr, dep) in enumerate(zip(pop.arrivals, pop.departures))
-        for s in range(len(arr))
+    return _build_graph(_graph_nodes(*pop.agents()), instance, pop.horizon)
+
+
+def _graph_nodes(
+    types: np.ndarray, serials: np.ndarray, arrivals: np.ndarray, departures: np.ndarray
+) -> list[GraphNode]:
+    """One node per agent, sorted by (arrival, type, serial)."""
+    order = np.lexsort((serials, types, arrivals))
+    return [
+        GraphNode(AgentId(x, s), a, d)
+        for x, s, a, d in zip(
+            types[order].tolist(),
+            serials[order].tolist(),
+            arrivals[order].tolist(),
+            departures[order].tolist(),
+        )
     ]
-    nodes.sort(key=lambda nd: (nd.arrival, nd.agent.type_id, nd.agent.serial))
-    return _build_graph(nodes, instance, pop.horizon)
 
 
 # ---------------------------------------------------------------------------

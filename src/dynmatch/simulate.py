@@ -33,13 +33,23 @@ clearing events fall in between; "arrived earlier" compares
 (arrival_time, type_id, serial). Trace rows at one timestamp order
 arrival < match < departure so an impatient agent's arrival precedes its
 own departure row.
+
+Traces are columns, one row per event: time, kind, a_type, a_serial,
+b_type, b_serial, value and the departure matched-flag (EventTrace has
+the layout). _build_outputs concatenates one row per arrival, per
+departure up to the horizon and per match record, and orders them with
+one np.lexsort on (time, kind, a, b). The CSV writer, the reader, the
+replay, the rate estimate and presence work on whole columns; the event
+dataclasses are views of single rows, built only when a trace is iterated.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -81,29 +91,147 @@ class MatchEvent:
 
 Event = ArrivalEvent | MatchEvent | DepartureEvent
 
+# trace row kinds, in their order at one timestamp
+ARRIVAL, MATCH, DEPARTURE = 0, 1, 2
+_KIND_NAMES = ("arrival", "match", "departure")
+_KIND_FIELDS = np.array([f",{k}," for k in _KIND_NAMES], dtype=object)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class EventTrace:
-    events: tuple[Event, ...]
+    """The events of one run, one row per event, stored as columns.
+
+    Columns, all of one length:
+        time                float64
+        kind                int8: ARRIVAL, MATCH or DEPARTURE
+        a_type, a_serial    int64: the arriving or departing agent, or the
+                            earlier arrival of a matched pair
+        b_type, b_serial    int64: the later agent of a matched pair; -1 on
+                            arrival and departure rows
+        value               float64: the match value; 0.0 on other rows
+        matched             bool: on a departure row, whether the agent was
+                            matched before departing; False on other rows
+
+    A run's rows are sorted by (time, kind, a_type, a_serial, b_type,
+    b_serial). Iterating the trace, or its events, yields one ArrivalEvent,
+    MatchEvent or DepartureEvent per row, built on demand.
+    """
+
+    time: np.ndarray
+    kind: np.ndarray
+    a_type: np.ndarray
+    a_serial: np.ndarray
+    b_type: np.ndarray
+    b_serial: np.ndarray
+    value: np.ndarray
+    matched: np.ndarray
     horizon: float
     burn_in: float
     seed: int
     complete: bool = True  # False when the run skipped event recording
 
+    @property
+    def events(self) -> "EventRows":
+        return EventRows(self)
+
     def __iter__(self) -> Iterator[Event]:
         return iter(self.events)
 
     def matches(self) -> list[MatchEvent]:
-        return [e for e in self.events if isinstance(e, MatchEvent)]
+        return list(self._events(np.flatnonzero(self.kind == MATCH)))
+
+    def _events(self, rows=slice(None)) -> Iterator[Event]:
+        columns = (self.time, self.kind, self.a_type, self.a_serial,
+                   self.b_type, self.b_serial, self.value, self.matched)
+        return map(_event, *(c[rows].tolist() for c in columns))
+
+    def lifetimes(self) -> tuple[np.ndarray, ...]:
+        """Every agent with an arrival row, in (type, serial) order: its
+        type, serial, arrival time and departure time (+inf without a
+        departure row; the last row of a kind wins if it repeats). Last
+        come the departure rows whose agent has no arrival row."""
+        rows = np.flatnonzero(self.kind != MATCH)
+        order, first, last = _agent_runs(self.a_type[rows], self.a_serial[rows], rows)
+        rows, kind = rows[order], self.kind[rows][order]
+        came = _latest(kind == ARRIVAL, first, inclusive=True)[last]
+        gone = _latest(kind == DEPARTURE, first, inclusive=True)[last]
+        agents = np.flatnonzero((first == np.arange(len(rows))) & (came >= 0))
+        leaves = gone[agents]
+        departure = np.full(len(agents), math.inf)
+        departure[leaves >= 0] = self.time[rows[leaves[leaves >= 0]]]
+        orphans = np.sort(rows[(kind == DEPARTURE) & (came < 0)])
+        return (
+            self.a_type[rows[agents]],
+            self.a_serial[rows[agents]],
+            self.time[rows[came[agents]]],
+            departure,
+            orphans,
+        )
 
 
-def _event_sort_key(e: Event) -> tuple:
-    if isinstance(e, ArrivalEvent):
-        return (e.time, 0, e.agent.type_id, e.agent.serial, -1, -1)
-    if isinstance(e, MatchEvent):
-        return (e.time, 1, e.agent_a.type_id, e.agent_a.serial,
-                e.agent_b.type_id, e.agent_b.serial)
-    return (e.time, 2, e.agent.type_id, e.agent.serial, -1, -1)
+class EventRows(Sequence):
+    """A trace's rows as event objects: len() reads the column length, and
+    an event is built only when a row is read. Two views are equal when
+    they hold the same events."""
+
+    __slots__ = ("_trace",)
+
+    def __init__(self, trace: EventTrace):
+        self._trace = trace
+
+    def __len__(self) -> int:
+        return len(self._trace.time)
+
+    def __getitem__(self, i):
+        rows = range(len(self))[i]  # an int or a range; raises IndexError
+        if isinstance(rows, range):
+            return list(self._trace._events(rows))
+        return next(self._trace._events(slice(rows, rows + 1)))
+
+    def __iter__(self) -> Iterator[Event]:
+        return self._trace._events()
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None  # type: ignore[assignment]
+
+
+def _event(
+    t: float, kind: int, ax: int, asr: int, bx: int, bsr: int, v: float, m: bool
+) -> Event:
+    if kind == ARRIVAL:
+        return ArrivalEvent(t, AgentId(ax, asr))
+    if kind == MATCH:
+        return MatchEvent(t, AgentId(ax, asr), AgentId(bx, bsr), v)
+    return DepartureEvent(t, AgentId(ax, asr), m)
+
+
+def _agent_runs(
+    types: np.ndarray, serials: np.ndarray, pos: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sort steps by (type, serial, position), so each agent's steps form
+    one run in position order. Returns the sort order and, per sorted
+    step, the sorted index of the first and of the last step of its run."""
+    order = np.lexsort((pos, serials, types))
+    t, s = types[order], serials[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (t[1:] != t[:-1]) | (s[1:] != s[:-1])
+    heads = np.flatnonzero(new)
+    sizes = np.diff(np.append(heads, len(order)))
+    first = np.repeat(heads, sizes)
+    return order, first, first + np.repeat(sizes, sizes) - 1
+
+
+def _latest(mask: np.ndarray, first: np.ndarray, inclusive: bool = False) -> np.ndarray:
+    """Per sorted step, the sorted index of the latest step of its run
+    where mask holds, before it (or at it, if inclusive); -1 if none."""
+    run = np.maximum.accumulate(np.where(mask, np.arange(len(mask)), -1))
+    if not inclusive:
+        run = np.concatenate(([-1], run))[: len(mask)]
+    return np.where(run >= first, run, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +254,16 @@ class Population:
     @property
     def n_agents(self) -> int:
         return len(self.order_times)
+
+    def agents(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Every agent in (type, serial) order: type, serial, arrival and
+        departure time."""
+        return (
+            np.concatenate([np.full(len(a), x) for x, a in enumerate(self.arrivals)]),
+            np.concatenate([np.arange(len(a)) for a in self.arrivals]),
+            np.concatenate(self.arrivals),
+            np.concatenate(self.departures),
+        )
 
 
 def generate_population(
@@ -575,25 +713,51 @@ def _build_outputs(
     )
 
     if not record_trace:
-        trace = EventTrace((), horizon, burn_in, seed, complete=False)
-        return trace, report
+        no_rows = [np.zeros(0)] * 8
+        return _trace_of_rows(*no_rows, horizon, burn_in, seed, complete=False), report
 
-    events: list[Event] = []
-    for x in range(n):
-        arr = pop.arrivals[x]
-        dep = pop.departures[x]
-        flags = matched[x]
-        for s in range(len(arr)):
-            events.append(ArrivalEvent(float(arr[s]), AgentId(x, s)))
-            if dep[s] <= horizon:
-                events.append(
-                    DepartureEvent(float(dep[s]), AgentId(x, s), bool(flags[s]))
-                )
-    for t, ax, asr, bx, bsr, v in records:
-        events.append(MatchEvent(t, AgentId(ax, asr), AgentId(bx, bsr), v))
-    events.sort(key=_event_sort_key)
-    trace = EventTrace(tuple(events), horizon, burn_in, seed, complete=True)
+    # one row per arrival, per departure up to the horizon, per match
+    types, serials, arr, dep = pop.agents()
+    flags = np.frombuffer(b"".join(matched), dtype=np.uint8).astype(bool)
+    leaving = dep <= horizon
+    rec = np.array(records, dtype=np.float64).reshape(-1, 6)
+    n_dep = int(leaving.sum())
+    no_agent = np.full(len(arr) + n_dep, -1)
+    trace = _trace_of_rows(
+        np.concatenate((arr, dep[leaving], rec[:, 0])),
+        np.repeat([ARRIVAL, DEPARTURE, MATCH], [len(arr), n_dep, len(rec)]),
+        np.concatenate((types, types[leaving], rec[:, 1])),
+        np.concatenate((serials, serials[leaving], rec[:, 2])),
+        np.concatenate((no_agent, rec[:, 3])),
+        np.concatenate((no_agent, rec[:, 4])),
+        np.concatenate((np.zeros(len(arr) + n_dep), rec[:, 5])),
+        np.concatenate((np.zeros(len(arr), dtype=bool), flags[leaving],
+                        np.zeros(len(rec), dtype=bool))),
+        horizon, burn_in, seed, complete=True,
+    )
     return trace, report
+
+
+def _trace_of_rows(
+    time, kind, a_type, a_serial, b_type, b_serial, value, matched,
+    horizon: float, burn_in: float, seed: int, complete: bool,
+) -> EventTrace:
+    """A trace of the given rows, typed and sorted into trace order."""
+    order = np.lexsort((b_serial, b_type, a_serial, a_type, kind, time))
+    return EventTrace(
+        time=np.asarray(time, dtype=np.float64)[order],
+        kind=np.asarray(kind, dtype=np.int8)[order],
+        a_type=np.asarray(a_type, dtype=np.int64)[order],
+        a_serial=np.asarray(a_serial, dtype=np.int64)[order],
+        b_type=np.asarray(b_type, dtype=np.int64)[order],
+        b_serial=np.asarray(b_serial, dtype=np.int64)[order],
+        value=np.asarray(value, dtype=np.float64)[order],
+        matched=np.asarray(matched, dtype=bool)[order],
+        horizon=horizon,
+        burn_in=burn_in,
+        seed=seed,
+        complete=complete,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -609,9 +773,8 @@ def estimate_rates(trace: EventTrace, instance: MarketInstance) -> np.ndarray:
     rates = np.zeros((n, n))
     if window <= 0:
         return rates
-    for e in trace.events:
-        if isinstance(e, MatchEvent) and e.time > trace.burn_in:
-            rates[e.agent_a.type_id, e.agent_b.type_id] += 1.0
+    counted = (trace.kind == MATCH) & (trace.time > trace.burn_in)
+    np.add.at(rates, (trace.a_type[counted], trace.b_type[counted]), 1.0)
     return rates / window
 
 
@@ -628,19 +791,11 @@ def presence_frequency(
     window = trace.horizon - trace.burn_in
     if window <= 0:
         return 0.0
-    arr: dict[int, float] = {}
-    dep: dict[int, float] = {}
-    for e in trace.events:
-        if isinstance(e, ArrivalEvent) and e.agent.type_id == type_id:
-            arr[e.agent.serial] = e.time
-        elif isinstance(e, DepartureEvent) and e.agent.type_id == type_id:
-            dep[e.agent.serial] = e.time
-    if not arr:
+    types, _, starts, ends, _ = trace.lifetimes()
+    mine = types == type_id  # in serial order
+    if not mine.any():
         return 0.0
-    serials = sorted(arr)
-    starts = np.array([arr[s] for s in serials])
-    ends = np.array([dep.get(s, trace.horizon) for s in serials])
-    return _interval_cover(starts, ends, trace.burn_in, trace.horizon) / window
+    return _interval_cover(starts[mine], ends[mine], trace.burn_in, trace.horizon) / window
 
 
 def replay_check(trace: EventTrace, instance: MarketInstance) -> list[str]:
@@ -649,61 +804,73 @@ def replay_check(trace: EventTrace, instance: MarketInstance) -> list[str]:
     A match at time t needs both agents arrived (a <= t), unmatched so far,
     and not yet departed (t < d, or t == a for a zero-length agent matched
     at its own arrival instant). Empty list means the trace replays clean.
+
+    The checks read the rows in order, as a walk over them would: arrived,
+    matched and arrival time mean so far, departure means the agent's last
+    departure row. They run on whole columns. Each step of the walk has a
+    position, 2 * row for an arrival or departure and 2 * row + slot for
+    the two agents of a match, and "so far" is a lookup of the agent's last
+    earlier step in sorted (agent, position) keys. Violations come out in
+    walk order, after a first pass that finds repeated departures.
     """
     if not trace.complete:
         raise ValueError("replay needs a recorded trace")
-    problems: list[str] = []
-    arr: dict[AgentId, float] = {}
-    dep: dict[AgentId, float] = {}
-    for e in trace.events:
-        if isinstance(e, DepartureEvent):
-            if e.agent in dep:
-                problems.append(f"{e.agent.text()} departs twice")
-            dep[e.agent] = e.time
-    matched: set[AgentId] = set()
-    last_t = 0.0
-    for e in trace.events:
-        t = e.time
-        if t < last_t:
-            problems.append(f"events out of order at t={t}")
-        last_t = t
-        if isinstance(e, ArrivalEvent):
-            if e.agent in arr:
-                problems.append(f"{e.agent.text()} arrives twice")
-            arr[e.agent] = t
-        elif isinstance(e, MatchEvent):
-            v = instance.values.get(e.agent_a.type_id, e.agent_b.type_id)
-            if v != e.value:
-                problems.append(
-                    f"match value {e.value} disagrees with the instance ({v})"
-                )
-            for agent in (e.agent_a, e.agent_b):
-                if agent not in arr:
-                    problems.append(f"{agent.text()} matched before arriving")
-                    continue
-                a = arr[agent]
-                d = dep.get(agent, float("inf"))
-                if a > t:
-                    problems.append(f"{agent.text()} matched before arriving")
-                if not (t < d or t == a):
-                    problems.append(f"{agent.text()} matched after departing")
-                if agent in matched:
-                    problems.append(f"{agent.text()} matched twice")
-                matched.add(agent)
-        elif isinstance(e, DepartureEvent):
-            if e.agent not in arr:
-                problems.append(f"{e.agent.text()} departs without arriving")
-            elif dep[e.agent] < arr[e.agent]:
-                problems.append(f"{e.agent.text()} departs before arriving")
-            if e.matched_before_departure != (e.agent in matched):
-                problems.append(f"{e.agent.text()} has a wrong matched flag")
-    return problems
+    t = trace.time
+    n = len(t)
+    mat = np.flatnonzero(trace.kind == MATCH)
+    # steps: slot a of every row, at 2 * row, then slot b of every match,
+    # at 2 * row + 1
+    types = np.concatenate((trace.a_type, trace.b_type[mat]))
+    serials = np.concatenate((trace.a_serial, trace.b_serial[mat]))
+    row = np.concatenate((np.arange(n), mat))
+    slot_b = np.arange(len(row)) >= n
+    order, first, last = _agent_runs(types, serials, 2 * row + slot_b)
+    kind = np.concatenate((trace.kind, np.full(len(mat), MATCH, dtype=np.int8)))[order]
+    at = t[row[order]]
+    is_arr, is_match, is_dep = kind == ARRIVAL, kind == MATCH, kind == DEPARTURE
+    came = _latest(is_arr, first)
+    arrived = came >= 0
+    since = np.where(arrived, at[came], math.nan)
+    gone = _latest(is_dep, first, inclusive=True)[last]
+    departs = np.where(gone >= 0, at[gone], math.inf)
+    held = is_match & arrived  # an agent counts as matched once it has arrived
+    had = _latest(held, first) >= 0
+    # (pass, check, steps, text); checks 2-4 move to 5-7 for slot b
+    step_checks = (
+        (0, 0, is_dep & (_latest(is_dep, first) >= 0), "departs twice"),
+        (1, 1, is_arr & arrived, "arrives twice"),
+        (1, 2, is_match & (~arrived | (since > at)), "matched before arriving"),
+        (1, 3, held & ~((at < departs) | (at == since)), "matched after departing"),
+        (1, 4, held & had, "matched twice"),
+        (1, 1, is_dep & ~arrived, "departs without arriving"),
+        (1, 1, is_dep & arrived & (departs < since), "departs before arriving"),
+        (1, 8, is_dep & (trace.matched[row[order]] != had), "has a wrong matched flag"),
+    )
+    found: list[tuple[int, int, int, str]] = []  # (pass, row, check, text)
+    for phase, check, bad, text in step_checks:
+        for k in order[bad].tolist():
+            found.append((phase, int(row[k]), check + 3 * int(slot_b[k]),
+                          f"{types[k]}:{serials[k]} {text}"))
+    for i in np.flatnonzero(t < np.concatenate(([0.0], t[:-1]))).tolist():
+        found.append((1, i, 0, f"events out of order at t={float(t[i])}"))
+    pairs, pair_of = np.unique(
+        np.stack((trace.a_type[mat], trace.b_type[mat]), axis=1),
+        axis=0, return_inverse=True,
+    )
+    want = [instance.values.get(x, y) for x, y in pairs.tolist()]
+    got = trace.value[mat].tolist()
+    for i, k, v in zip(mat.tolist(), pair_of.reshape(-1).tolist(), got):
+        if want[k] != v:
+            found.append((1, i, 1, f"match value {v} disagrees with the instance ({want[k]})"))
+    found.sort(key=lambda f: f[:3])
+    return [f[3] for f in found]
 
 
 # ---------------------------------------------------------------------------
 # trace CSV round-trip
 
 TRACE_SCHEMA = "dynmatch-trace v1"
+_COLUMNS = "time,event,agent_a,agent_b,value"
 
 
 def write_trace_csv(trace: EventTrace, path: str, policy: str = "") -> None:
@@ -711,27 +878,45 @@ def write_trace_csv(trace: EventTrace, path: str, policy: str = "") -> None:
     written with repr so a rewrite of the same trace is byte-identical."""
     if not trace.complete:
         raise ValueError("cannot persist a trace that skipped event recording")
-    lines = [
-        f"# {TRACE_SCHEMA} seed={trace.seed} policy={policy}"
-        f" horizon={trace.horizon!r} burn_in={trace.burn_in!r}",
-        "time,event,agent_a,agent_b,value",
-    ]
-    for e in trace.events:
-        if isinstance(e, ArrivalEvent):
-            lines.append(f"{e.time!r},arrival,{e.agent.text()},,")
-        elif isinstance(e, MatchEvent):
-            lines.append(
-                f"{e.time!r},match,{e.agent_a.text()},{e.agent_b.text()},{e.value!r}"
-            )
-        else:
-            lines.append(f"{e.time!r},departure,{e.agent.text()},,")
+    # a row is six pieces: time, ",kind,", a_type, ":", a_serial, and
+    # ",b_type:b_serial,value" or ",," before the newline; object arrays of
+    # strings add elementwise
+    n = len(trace.time)
+    mat = trace.kind == MATCH
+    tail = np.full(n, ",,\n", dtype=object)
+    tail[mat] = (
+        "," + _int_texts(trace.b_type[mat]) + ":" + _int_texts(trace.b_serial[mat])
+        + "," + _float_texts(trace.value[mat]) + "\n"
+    )
+    pieces = [":"] * (6 * n)
+    pieces[0::6] = _float_texts(trace.time).tolist()
+    pieces[1::6] = _KIND_FIELDS[trace.kind].tolist()
+    pieces[2::6] = _int_texts(trace.a_type).tolist()
+    pieces[4::6] = _int_texts(trace.a_serial).tolist()
+    pieces[5::6] = tail.tolist()
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(
+            f"# {TRACE_SCHEMA} seed={trace.seed} policy={policy}"
+            f" horizon={trace.horizon!r} burn_in={trace.burn_in!r}\n{_COLUMNS}\n"
+        )
+        fh.write("".join(pieces))
+
+
+def _int_texts(values: np.ndarray) -> np.ndarray:
+    """str() of each integer as an object array, each distinct value
+    formatted once."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    return np.array(list(map(str, distinct.tolist())), dtype=object)[inverse]
+
+
+def _float_texts(values: np.ndarray) -> np.ndarray:
+    return np.array(list(map(repr, values.tolist())), dtype=object)
 
 
 def read_trace_csv(path: str) -> tuple[EventTrace, dict]:
-    """Inverse of write_trace_csv. Departure matched-flags are rebuilt from
-    the match rows (a match always precedes its agents' departure rows)."""
+    """Inverse of write_trace_csv; rows keep their file order. Departure
+    matched-flags are rebuilt from the match rows (a match always precedes
+    its agents' departure rows)."""
     with open(path) as fh:
         header = fh.readline().rstrip("\n")
         if not header.startswith(f"# {TRACE_SCHEMA} "):
@@ -741,34 +926,67 @@ def read_trace_csv(path: str) -> tuple[EventTrace, dict]:
             key, _, val = part.partition("=")
             meta[key] = val
         columns = fh.readline().rstrip("\n")
-        if columns != "time,event,agent_a,agent_b,value":
+        if columns != _COLUMNS:
             raise ValueError(f"unexpected column header: {columns}")
-        events: list[Event] = []
-        matched: set[AgentId] = set()
-        for line in fh:
-            row = line.rstrip("\n").split(",")
-            if len(row) != 5:
-                raise ValueError(f"malformed trace row: {line!r}")
-            t = float(row[0])
-            kind = row[1]
-            if kind == "arrival":
-                events.append(ArrivalEvent(t, AgentId.from_text(row[2])))
-            elif kind == "match":
-                a = AgentId.from_text(row[2])
-                b = AgentId.from_text(row[3])
-                matched.add(a)
-                matched.add(b)
-                events.append(MatchEvent(t, a, b, float(row[4])))
-            elif kind == "departure":
-                agent = AgentId.from_text(row[2])
-                events.append(DepartureEvent(t, agent, agent in matched))
-            else:
-                raise ValueError(f"unknown event kind {kind!r}")
+        body = fh.read()
+    n = body.count("\n") + (not body.endswith("\n")) if body else 0
+    fields = _split_fields(body.removesuffix("\n"), n, 5, "\n", ",", "malformed trace row")
+    names = np.array(fields[1::5], dtype=str)
+    kind = np.full(n, -1, dtype=np.int8)
+    for code, name in enumerate(_KIND_NAMES):
+        kind[names == name] = code
+    if (kind < 0).any():
+        raise ValueError(f"unknown event kind {str(names[np.argmax(kind < 0)])!r}")
+    mat = np.flatnonzero(kind == MATCH)
+    a_type, a_serial = _agent_columns(fields[2::5])
+    b_type = np.full(n, -1, dtype=np.int64)
+    b_serial = np.full(n, -1, dtype=np.int64)
+    b_type[mat], b_serial[mat] = _agent_columns([fields[5 * i + 3] for i in mat.tolist()])
+    value = np.zeros(n)
+    value[mat] = [float(fields[5 * i + 4]) for i in mat.tolist()]
+    # a departure's flag: the agent sits in a match row above it
+    row = np.concatenate((np.arange(n), mat))
+    order, first, _ = _agent_runs(
+        np.concatenate((a_type, b_type[mat])), np.concatenate((a_serial, b_serial[mat])), row
+    )
+    step_kind = np.concatenate((kind, np.full(len(mat), MATCH, dtype=np.int8)))[order]
+    had = _latest(step_kind == MATCH, first) >= 0
+    matched = np.zeros(n, dtype=bool)
+    matched[row[order[had & (step_kind == DEPARTURE)]]] = True
     trace = EventTrace(
-        events=tuple(events),
+        time=np.array(list(map(float, fields[0::5])), dtype=np.float64),
+        kind=kind,
+        a_type=a_type,
+        a_serial=a_serial,
+        b_type=b_type,
+        b_serial=b_serial,
+        value=value,
+        matched=matched,
         horizon=float(meta["horizon"]),
         burn_in=float(meta["burn_in"]),
         seed=int(meta["seed"]),
         complete=True,
     )
     return trace, meta
+
+
+def _split_fields(
+    text: str, n: int, width: int, record_sep: str, field_sep: str, what: str
+) -> list[str]:
+    """The fields of n records of width fields each, as one flat list;
+    raises ValueError naming the first record of another width."""
+    raw = np.frombuffer(text.encode(), dtype=np.uint8)
+    record_of = np.searchsorted(
+        np.flatnonzero(raw == ord(record_sep)), np.flatnonzero(raw == ord(field_sep))
+    )
+    bad = np.flatnonzero(np.bincount(record_of, minlength=n) != width - 1)
+    if len(bad):
+        raise ValueError(f"{what}: {text.split(record_sep)[bad[0]]!r}")
+    return text.replace(record_sep, field_sep).split(field_sep) if n else []
+
+
+def _agent_columns(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Type and serial columns of "type:serial" agent fields."""
+    parts = _split_fields(",".join(texts), len(texts), 2, ",", ":", "malformed agent id")
+    return (np.array(list(map(int, parts[0::2])), dtype=np.int64),
+            np.array(list(map(int, parts[1::2])), dtype=np.int64))

@@ -54,6 +54,20 @@ MARKETS = {
         "types": [{"label": "solo", "arrival_rate": 2.0, "departure_rate": 0.5}],
         "values": [["solo", "solo", 1.0]],
     },
+    # twelve types and serials past 9, so type ids and serials of two or
+    # more digits reach the trace's agent fields
+    "many": {
+        "types": [
+            {"label": f"m{k}", "arrival_rate": 0.3 + 0.05 * k,
+             "departure_rate": "inf" if k == 5 else 0.8 + 0.1 * (k % 4)}
+            for k in range(12)
+        ],
+        "values": [
+            [f"m{k}", f"m{(k + d) % 12}", round(0.2 + 0.1 * ((k * d) % 7), 2)]
+            for k in range(12)
+            for d in (0, 1, 3)
+        ],
+    },
 }
 
 # (market, gamma, horizon, seed) of each instrumented run
@@ -65,7 +79,10 @@ COUNTER_RUNS = [
     ("crowded", 0.5, 200.0, 105),
 ]
 # (market, horizon, seed) of each policy run; every policy below runs on it
-POLICY_RUNS = [("mixed", 50.0, 201), ("ties", 50.0, 202), ("crowded", 40.0, 203)]
+POLICY_RUNS = [
+    ("mixed", 50.0, 201), ("ties", 50.0, 202), ("crowded", 40.0, 203),
+    ("many", 40.0, 204),
+]
 POLICIES = [
     {"kind": "online_match", "gamma": 0.5},
     {"kind": "online_match", "gamma": 0.75},

@@ -1,10 +1,20 @@
-"""Instance builders shared across the test modules."""
+"""Instance and trace builders shared across the test modules."""
 
 from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from dynmatch import INFINITE, AgentType, MarketInstance, MatchValueMatrix
+from dynmatch.simulate import (
+    ARRIVAL,
+    DEPARTURE,
+    MATCH,
+    DepartureEvent,
+    EventTrace,
+    MatchEvent,
+)
 
 
 def make_instance(types, values):
@@ -65,3 +75,25 @@ def departs_of(instance):
 
 def dense_values(instance):
     return [list(row) for row in instance.values.dense()]
+
+
+def trace_of_events(events, horizon, burn_in=0.0, seed=0):
+    """An EventTrace holding the given events as rows, in the given order
+    (a forged trace may be out of order on purpose)."""
+
+    def row(e):
+        if isinstance(e, MatchEvent):
+            return (e.time, MATCH, *e.agent_a, *e.agent_b, e.value, False)
+        if isinstance(e, DepartureEvent):
+            return (e.time, DEPARTURE, *e.agent, -1, -1, 0.0, e.matched_before_departure)
+        return (e.time, ARRIVAL, *e.agent, -1, -1, 0.0, False)
+
+    cols = list(zip(*map(row, events))) or [()] * 8
+    dtypes = (np.float64, np.int8, np.int64, np.int64, np.int64, np.int64,
+              np.float64, bool)
+    names = ("time", "kind", "a_type", "a_serial", "b_type", "b_serial",
+             "value", "matched")
+    return EventTrace(
+        **{k: np.array(c, dtype=d) for k, c, d in zip(names, cols, dtypes)},
+        horizon=horizon, burn_in=burn_in, seed=seed,
+    )

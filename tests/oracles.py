@@ -3,6 +3,8 @@
 Nothing here calls into dynmatch's solver or matcher; each oracle takes a
 structurally different route to the same number so that agreement is
 meaningful. They are exponential-time and only suitable for tiny inputs.
+The trace references at the end are linear: they walk event objects one
+at a time, as the package did before traces became columns.
 """
 
 from __future__ import annotations
@@ -136,3 +138,101 @@ def matching_weight(edges: set[tuple[int, int]], weights: dict) -> float:
         seen.update((i, j))
         total += weights[(i, j)] if (i, j) in weights else weights[(j, i)]
     return total
+
+
+def replay_check_by_walk(events, instance) -> list[str]:
+    """replay_check as one walk over event objects, the way the package
+    did it before traces became columns; events is a list of the
+    ArrivalEvent, MatchEvent and DepartureEvent row views."""
+    from dynmatch.simulate import ArrivalEvent, DepartureEvent, MatchEvent
+
+    problems: list[str] = []
+    arr: dict = {}
+    dep: dict = {}
+    for e in events:
+        if isinstance(e, DepartureEvent):
+            if e.agent in dep:
+                problems.append(f"{e.agent.text()} departs twice")
+            dep[e.agent] = e.time
+    matched: set = set()
+    last_t = 0.0
+    for e in events:
+        t = e.time
+        if t < last_t:
+            problems.append(f"events out of order at t={t}")
+        last_t = t
+        if isinstance(e, ArrivalEvent):
+            if e.agent in arr:
+                problems.append(f"{e.agent.text()} arrives twice")
+            arr[e.agent] = t
+        elif isinstance(e, MatchEvent):
+            v = instance.values.get(e.agent_a.type_id, e.agent_b.type_id)
+            if v != e.value:
+                problems.append(
+                    f"match value {e.value} disagrees with the instance ({v})"
+                )
+            for agent in (e.agent_a, e.agent_b):
+                if agent not in arr:
+                    problems.append(f"{agent.text()} matched before arriving")
+                    continue
+                a = arr[agent]
+                d = dep.get(agent, float("inf"))
+                if a > t:
+                    problems.append(f"{agent.text()} matched before arriving")
+                if not (t < d or t == a):
+                    problems.append(f"{agent.text()} matched after departing")
+                if agent in matched:
+                    problems.append(f"{agent.text()} matched twice")
+                matched.add(agent)
+        elif isinstance(e, DepartureEvent):
+            if e.agent not in arr:
+                problems.append(f"{e.agent.text()} departs without arriving")
+            elif dep[e.agent] < arr[e.agent]:
+                problems.append(f"{e.agent.text()} departs before arriving")
+            if e.matched_before_departure != (e.agent in matched):
+                problems.append(f"{e.agent.text()} has a wrong matched flag")
+    return problems
+
+
+def read_trace_by_line(path):
+    """The event rows of a trace CSV, parsed one line at a time the way
+    the package did before traces became columns (header lines skipped,
+    departure flags rebuilt from the match rows above them)."""
+    from dynmatch import AgentId
+    from dynmatch.simulate import ArrivalEvent, DepartureEvent, MatchEvent
+
+    events: list = []
+    matched: set = set()
+    with open(path) as fh:
+        fh.readline()
+        fh.readline()
+        for line in fh:
+            row = line.rstrip("\n").split(",")
+            t = float(row[0])
+            if row[1] == "arrival":
+                events.append(ArrivalEvent(t, AgentId.from_text(row[2])))
+            elif row[1] == "match":
+                a, b = AgentId.from_text(row[2]), AgentId.from_text(row[3])
+                matched.update((a, b))
+                events.append(MatchEvent(t, a, b, float(row[4])))
+            else:
+                agent = AgentId.from_text(row[2])
+                events.append(DepartureEvent(t, agent, agent in matched))
+    return events
+
+
+def lifetimes_by_walk(events):
+    """(arrival, departure) per agent with an arrival row, from dicts
+    filled in event order (a repeated row overwrites), and the agents of
+    departure rows without an arrival row in first-departure order."""
+    from dynmatch.simulate import ArrivalEvent, DepartureEvent
+
+    arr: dict = {}
+    dep: dict = {}
+    for e in events:
+        if isinstance(e, ArrivalEvent):
+            arr[e.agent] = e.time
+        elif isinstance(e, DepartureEvent):
+            dep[e.agent] = e.time
+    windows = {agent: (t, dep.get(agent, math.inf)) for agent, t in arr.items()}
+    return windows, [agent for agent in dep if agent not in arr]

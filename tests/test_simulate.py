@@ -29,7 +29,13 @@ from dynmatch import (
 from dynmatch.market import pressure
 from dynmatch.simulate import ArrivalEvent, DepartureEvent, MatchEvent
 
-from helpers import make_instance, one_type, patient_impatient, random_instance
+from helpers import (
+    make_instance,
+    one_type,
+    patient_impatient,
+    random_instance,
+    trace_of_events,
+)
 
 ONLINE = PolicyConfig(kind=PolicyKind.ONLINE_MATCH, gamma=0.5)
 GREEDY = PolicyConfig(kind=PolicyKind.GREEDY)
@@ -190,11 +196,8 @@ class TestReplayAndAccounting:
         from dynmatch import AgentId
 
         forged = MatchEvent(50.0, AgentId(0, 10 ** 6), AgentId(0, 10 ** 6 + 1), 1.0)
-        bad = type(trace)(
-            events=trace.events + (forged,),
-            horizon=trace.horizon,
-            burn_in=trace.burn_in,
-            seed=trace.seed,
+        bad = trace_of_events(
+            [*trace.events, forged], trace.horizon, trace.burn_in, trace.seed
         )
         assert replay_check(bad, inst) != []
 
