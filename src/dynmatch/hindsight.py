@@ -63,36 +63,42 @@ class CompatibilityGraph:
         return len(self.edges)
 
 
-def _windows_overlap(ai: float, di: float, aj: float, dj: float) -> bool:
-    # [a, d) windows: containment of either arrival instant in the other
-    # window; for ai <= aj this is (aj < di) or (ai == aj and aj < dj)
-    return (aj <= ai < dj) or (ai <= aj < di)
-
-
 def _build_graph(
-    nodes: list[GraphNode], instance: MarketInstance, horizon: float
+    types: np.ndarray,
+    serials: np.ndarray,
+    arrivals: np.ndarray,
+    departures: np.ndarray,
+    instance: MarketInstance,
+    horizon: float,
 ) -> CompatibilityGraph:
-    values = instance.values
-    edges: list[tuple[int, int]] = []
-    weights: list[float] = []
-    n = len(nodes)
-    for i in range(n):
-        ai = nodes[i].arrival
-        di = nodes[i].departure
-        for j in range(i + 1, n):
-            aj = nodes[j].arrival
-            if aj > ai and aj >= di:
-                break  # arrivals ascend, so no later j overlaps i either
-            if not _windows_overlap(ai, di, aj, nodes[j].departure):
-                continue
-            v = values.get(nodes[i].agent.type_id, nodes[j].agent.type_id)
-            if v > 0.0:
-                edges.append((i, j))
-                weights.append(v)
+    """One node per agent, sorted by (arrival, type, serial), and every
+    positive-value edge (i, j), i < j, in lexicographic order.
+
+    With arrivals ascending, the [a, d) windows of i < j overlap iff
+    a_j < d_i, or a_j == a_i < d_j (an agent arriving at the same instant
+    as a zero-length window). So node i's candidates run from i + 1 up to
+    the first arrival at or after d_i, extended over the arrivals tied
+    with a_i.
+    """
+    order = np.lexsort((serials, types, arrivals))
+    t, a, d = types[order], arrivals[order], departures[order]
+    n = len(a)
+    end = np.maximum(np.searchsorted(a, d, "left"), np.searchsorted(a, a, "right"))
+    counts = np.maximum(end - np.arange(n) - 1, 0)
+    i = np.repeat(np.arange(n), counts)
+    j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(counts) - counts, counts)
+    k = instance.n_types
+    w = np.array(instance.values.dense(), dtype=float).reshape(k, k)[t[i], t[j]]
+    keep = ((a[j] < d[i]) | ((a[j] == a[i]) & (a[i] < d[j]))) & (w > 0.0)
+    i, j, w = i[keep], j[keep], w[keep]
+    nodes = tuple(
+        GraphNode(AgentId(x, s), ax, dx)
+        for x, s, ax, dx in zip(t.tolist(), serials[order].tolist(), a.tolist(), d.tolist())
+    )
     return CompatibilityGraph(
-        nodes=tuple(nodes),
-        edges=tuple(edges),
-        weights=tuple(weights),
+        nodes=nodes,
+        edges=tuple(zip(i.tolist(), j.tolist())),
+        weights=tuple(w.tolist()),
         horizon=horizon,
     )
 
@@ -113,29 +119,11 @@ def build_compatibility_graph(
     if len(orphans):
         agent = AgentId(int(trace.a_type[orphans[0]]), int(trace.a_serial[orphans[0]]))
         raise ValueError(f"trace missing lifetime data: {agent.text()} never arrives")
-    return _build_graph(
-        _graph_nodes(types, serials, arrivals, departures), instance, trace.horizon
-    )
+    return _build_graph(types, serials, arrivals, departures, instance, trace.horizon)
 
 
 def _graph_from_population(pop: Population, instance: MarketInstance) -> CompatibilityGraph:
-    return _build_graph(_graph_nodes(*pop.agents()), instance, pop.horizon)
-
-
-def _graph_nodes(
-    types: np.ndarray, serials: np.ndarray, arrivals: np.ndarray, departures: np.ndarray
-) -> list[GraphNode]:
-    """One node per agent, sorted by (arrival, type, serial)."""
-    order = np.lexsort((serials, types, arrivals))
-    return [
-        GraphNode(AgentId(x, s), a, d)
-        for x, s, a, d in zip(
-            types[order].tolist(),
-            serials[order].tolist(),
-            arrivals[order].tolist(),
-            departures[order].tolist(),
-        )
-    ]
+    return _build_graph(*pop.agents(), instance, pop.horizon)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Match-rate upper-bound LP: construction, dense simplex, feasibility checks.
+"""Match-rate upper-bound LP: construction, bounded-variable simplex, feasibility checks.
 
 One decision variable alpha[x][y] per ordered type pair: the long-run
 fraction of type-y arrivals matched to an already-present type-x agent.
@@ -11,9 +11,12 @@ Constraints, for each ordered pair (x, y) and each type x:
   flow:  sum_y alpha[x][y] lambda_y + sum_y alpha[y][x] lambda_x <= lambda_x
   box:   0 <= alpha[x][y] <= 1
 
-The box upper bound is kept explicitly even though the arriving type's flow
-row implies it. Variables with impatient x (infinite departure rate) are
-fixed to zero at build time instead of being emitted as 0-cap rows.
+Only the n flow rows couple variables. Cap and box each bound a single
+variable, so the program keeps them as one upper bound per variable,
+u_xy = min(1, lambda_x / mu_x), which the simplex enforces in its ratio
+test. The box bound is implied anyway: the arriving type y's flow row
+gives sum_x alpha[x][y] <= 1. Variables with impatient x (infinite
+departure rate) are fixed to zero at build time.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market import INFINITE, MarketInstance, validate_instance
+from .market import MarketInstance, validate_instance
 
 _PIVOT_TOL = 1e-10
 _OBJ_TOL = 1e-10
@@ -41,12 +44,14 @@ class SimplexError(RuntimeError):
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """Dense `maximize c.z s.t. A z <= b, z >= 0` over the free alpha variables."""
+    """`maximize c.z s.t. A z <= b, 0 <= z <= u` over the free alpha
+    variables; A holds one flow row per type."""
 
     objective: np.ndarray  # (nv,)
-    rows: np.ndarray  # (m, nv)
-    bounds: np.ndarray  # (m,)
-    row_labels: tuple[str, ...]
+    rows: np.ndarray  # (n, nv)
+    bounds: np.ndarray  # (n,) flow budgets lambda_x
+    upper: np.ndarray  # (nv,) min(1, lambda_x / mu_x)
+    labels: tuple[str, ...]  # type labels
     var_pairs: tuple[tuple[int, int], ...]  # ordered (x, y) per column
     n_types: int
 
@@ -71,101 +76,88 @@ class LpSolution:
         return self.alpha.shape[0]
 
 
-def build_lp(instance: MarketInstance) -> LinearProgram:
+def _variables(instance: MarketInstance) -> tuple[np.ndarray, ...]:
+    """Arrival rates, then x, y and the cap lambda_x / mu_x of every free
+    variable alpha[x][y] (x patient), in row-major order."""
     violations = validate_instance(instance)
     if violations:
         raise ValueError(
             "invalid instance: " + "; ".join(v.code for v in violations)
         )
     n = instance.n_types
-    labels = instance.labels()
-    lam = [t.arrival_rate for t in instance.types]
-    patient = [t.departure_rate is not INFINITE for t in instance.types]
-    var_pairs = [(x, y) for x in range(n) if patient[x] for y in range(n)]
-    index = {pair: j for j, pair in enumerate(var_pairs)}
-    nv = len(var_pairs)
-    dense_v = instance.values.dense()
+    lam = np.array([t.arrival_rate for t in instance.types], dtype=float)
+    patient = [t for t in instance.types if not t.impatient]
+    xs = np.repeat(np.array([t.id for t in patient], dtype=np.int64), n)
+    ys = np.tile(np.arange(n), len(patient))
+    cap = np.repeat([t.arrival_rate / t.departure_rate for t in patient], n)
+    return lam, xs, ys, cap
 
-    c = np.zeros(nv)
-    for (x, y), j in index.items():
-        c[j] = dense_v[x][y] * lam[y]
 
-    rows: list[np.ndarray] = []
-    bounds: list[float] = []
-    row_labels: list[str] = []
-
-    for (x, y), j in index.items():
-        row = np.zeros(nv)
-        row[j] = 1.0
-        rows.append(row)
-        bounds.append(lam[x] / instance.types[x].departure_rate)
-        row_labels.append(f"cap:{labels[x]}->{labels[y]}")
-
-    for x in range(n):
-        row = np.zeros(nv)
-        for y in range(n):
-            if (x, y) in index:
-                row[index[(x, y)]] += lam[y]
-            if (y, x) in index:
-                row[index[(y, x)]] += lam[x]
-        rows.append(row)
-        bounds.append(lam[x])
-        row_labels.append(f"flow:{labels[x]}")
-
-    for (x, y), j in index.items():
-        row = np.zeros(nv)
-        row[j] = 1.0
-        rows.append(row)
-        bounds.append(1.0)
-        row_labels.append(f"box:{labels[x]}->{labels[y]}")
-
+def build_lp(instance: MarketInstance) -> LinearProgram:
+    lam, xs, ys, cap = _variables(instance)
+    n = instance.n_types
+    cols = np.arange(len(xs))
+    rows = np.zeros((n, len(xs)))
+    # a[x][y] lam[y] spends type-x stock and type-y arrivals alike; the self
+    # pair enters its one row twice
+    np.add.at(rows, (xs, cols), lam[ys])
+    np.add.at(rows, (ys, cols), lam[ys])
+    values = np.array(instance.values.dense(), dtype=float).reshape(n, n)
     return LinearProgram(
-        objective=c,
-        rows=np.array(rows) if rows else np.zeros((0, 0)),
-        bounds=np.array(bounds),
-        row_labels=tuple(row_labels),
-        var_pairs=tuple(var_pairs),
+        objective=values[xs, ys] * lam[ys],
+        rows=rows,
+        bounds=lam,
+        upper=np.minimum(1.0, cap),
+        labels=instance.labels(),
+        var_pairs=tuple(zip(xs.tolist(), ys.tolist())),
         n_types=n,
     )
 
 
-def solve_lp(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution:
-    """Primal tableau simplex from the slack basis.
+def solve_lp(lp: LinearProgram) -> LpSolution:
+    """Bounded-variable primal tableau simplex from the slack basis.
 
-    Every row is <= with a nonnegative bound, so the slack basis is feasible
-    and no artificial variables are needed (the first phase of a two-phase
-    scheme is a no-op here). Dantzig pricing, switching to Bland's rule after
-    2 * (rows + cols) pivots without objective improvement; a hard iteration
-    cap raises SimplexError rather than looping silently.
+    Every flow row is <= with a nonnegative budget, so the slack basis at
+    z = 0 is feasible and no artificial variables are needed. A variable
+    at its upper bound u is complemented (its column then holds u - z), so
+    every nonbasic column sits at zero. The entering column rises until a
+    basic variable reaches 0 (pivot), a basic variable reaches its bound
+    (pivot, then complement the leaving column) or the entering variable
+    reaches its own bound (complement it, no pivot); ties go to the bound
+    flip, then to the lowest row. Dantzig pricing, switching to Bland's
+    rule after 2 * (rows + cols) steps without objective improvement; a
+    hard iteration cap raises SimplexError rather than looping silently.
     """
     m, nv = lp.n_rows, lp.n_vars
+    zero = np.zeros((lp.n_types, lp.n_types))
     if nv == 0:
-        return LpSolution(
-            status=SolveStatus.OPTIMAL,
-            value=0.0,
-            alpha=np.zeros((lp.n_types, lp.n_types)),
-            var_pairs=lp.var_pairs,
-        )
+        return LpSolution(SolveStatus.OPTIMAL, 0.0, zero, lp.var_pairs)
     if np.any(lp.bounds < 0):
         raise SimplexError("builder emitted a negative bound; slack basis invalid")
 
-    # tableau columns: [structural vars | slacks | rhs]
+    # tableau columns: [structural vars | slacks | rhs]; last row: objective
     tab = np.zeros((m + 1, nv + m + 1))
     tab[:m, :nv] = lp.rows
     tab[:m, nv : nv + m] = np.eye(m)
     tab[:m, -1] = lp.bounds
     tab[m, :nv] = -lp.objective
-    basis = list(range(nv, nv + m))
+    upper = np.concatenate([lp.upper, np.full(m, np.inf)])
+    flipped = np.zeros(nv + m, dtype=bool)
+    basis = np.arange(nv, nv + m)
 
-    if max_iterations is None:
-        max_iterations = 1000 + 200 * (m + nv)
+    def complement(col: int) -> None:
+        tab[:, -1] -= tab[:, col] * upper[col]
+        tab[:, col] = -tab[:, col]
+        flipped[col] = not flipped[col]
+
+    max_iterations = 1000 + 200 * (m + nv)
     stall_limit = 2 * (m + nv)
     stalled = 0
     bland = False
     last_obj = -np.inf
 
     for _ in range(max_iterations):
-        obj_row = tab[m, : nv + m]
+        obj_row = tab[m, :-1]
         if bland:
             negatives = np.nonzero(obj_row < -_OBJ_TOL)[0]
             if negatives.size == 0:
@@ -175,30 +167,29 @@ def solve_lp(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution
             col = int(np.argmin(obj_row))
             if obj_row[col] >= -_OBJ_TOL:
                 break
+        a, rhs = tab[:m, col], tab[:m, -1]
         ratios = np.full(m, np.inf)
-        positive = tab[:m, col] > _PIVOT_TOL
-        ratios[positive] = tab[:m, -1][positive] / tab[:m, col][positive]
+        down = a > _PIVOT_TOL
+        ratios[down] = rhs[down] / a[down]
+        up = a < -_PIVOT_TOL
+        ratios[up] = (upper[basis[up]] - rhs[up]) / -a[up]
         best = np.min(ratios)
-        if not np.isfinite(best):
-            return LpSolution(
-                status=SolveStatus.UNBOUNDED,
-                value=float("inf"),
-                alpha=np.zeros((lp.n_types, lp.n_types)),
-                var_pairs=lp.var_pairs,
-            )
-        candidates = np.nonzero(ratios <= best + 1e-15)[0]
-        if bland:
-            # true Bland: leave the lowest-index basic variable
-            row = int(min(candidates, key=lambda r: basis[r]))
+        if not np.isfinite(min(best, upper[col])):
+            return LpSolution(SolveStatus.UNBOUNDED, float("inf"), zero, lp.var_pairs)
+        if upper[col] <= best + 1e-15:
+            complement(col)
         else:
-            row = int(candidates[0])
-
-        pivot = tab[row, col]
-        tab[row, :] /= pivot
-        for r in range(m + 1):
-            if r != row and tab[r, col] != 0.0:
-                tab[r, :] -= tab[r, col] * tab[row, :]
-        basis[row] = col
+            candidates = np.nonzero(ratios <= best + 1e-15)[0]
+            # true Bland: leave the lowest-index basic variable
+            row = int(candidates[np.argmin(basis[candidates])] if bland else candidates[0])
+            leaving, at_bound = int(basis[row]), bool(up[row])
+            tab[row, :] /= tab[row, col]
+            factor = tab[:, col].copy()
+            factor[row] = 0.0
+            tab -= np.outer(factor, tab[row])
+            basis[row] = col
+            if at_bound:
+                complement(leaving)
 
         obj = tab[m, -1]
         if obj > last_obj + 1e-12:
@@ -211,12 +202,11 @@ def solve_lp(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution
     else:
         raise SimplexError(f"no optimum after {max_iterations} pivots")
 
-    z = np.zeros(nv + m)
-    for r, b in enumerate(basis):
-        z[b] = tab[r, -1]
+    z = np.where(flipped, upper, 0.0)
+    z[basis] = np.where(flipped[basis], upper[basis] - tab[:m, -1], tab[:m, -1])
+    xs, ys = np.array(lp.var_pairs).T
     alpha = np.zeros((lp.n_types, lp.n_types))
-    for j, (x, y) in enumerate(lp.var_pairs):
-        alpha[x, y] = z[j]
+    alpha[xs, ys] = z[:nv]
     value = float(lp.objective @ z[:nv])
 
     col_sums = alpha.sum(axis=0)
@@ -262,58 +252,55 @@ def check_feasibility(
 ) -> FeasibilityReport:
     """Per-constraint slack report for a candidate alpha matrix.
 
-    Covers the emitted rows plus the implicit nonnegativity bounds and the
-    fixed-to-zero pairs of impatient types.
+    Covers every cap, flow and box constraint, then the nonnegativity
+    bounds and the fixed-to-zero pairs of impatient types, in that order.
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
-    lp = build_lp(instance)
+    lam, xs, ys, cap = _variables(instance)
+    n = instance.n_types
     alpha = solution.alpha if isinstance(solution, LpSolution) else solution
     alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape != (lp.n_types, lp.n_types):
-        raise ValueError(
-            f"alpha must be shaped ({lp.n_types}, {lp.n_types}), got {alpha.shape}"
-        )
-    z = np.array([alpha[x, y] for (x, y) in lp.var_pairs])
-    lhs = lp.rows @ z if lp.n_vars else np.zeros(0)
-    slacks = [
-        ConstraintSlack(label, float(b - l))
-        for label, b, l in zip(lp.row_labels, lp.bounds, lhs)
-    ]
+    if alpha.shape != (n, n):
+        raise ValueError(f"alpha must be shaped ({n}, {n}), got {alpha.shape}")
+    free = np.zeros((n, n), dtype=bool)
+    free[xs, ys] = True
+    used = np.where(free, alpha, 0.0)
+    z = alpha[xs, ys]
     labels = instance.labels()
-    free = set(lp.var_pairs)
-    for j, (x, y) in enumerate(lp.var_pairs):
-        slacks.append(ConstraintSlack(f"nonneg:{labels[x]}->{labels[y]}", float(z[j])))
-    for x in range(lp.n_types):
-        for y in range(lp.n_types):
-            if (x, y) not in free:
-                slacks.append(
-                    ConstraintSlack(
-                        f"fixed:{labels[x]}->{labels[y]}", -abs(float(alpha[x, y]))
-                    )
-                )
+    pairs = [f"{labels[x]}->{labels[y]}" for x, y in zip(xs.tolist(), ys.tolist())]
+    fixed = np.nonzero(~free)
+    groups = [
+        ("cap", pairs, cap - z),
+        ("flow", labels, lam - (used @ lam + lam * used.sum(axis=0))),
+        ("box", pairs, 1.0 - z),
+        ("nonneg", pairs, z),
+        ("fixed", [f"{labels[x]}->{labels[y]}" for x, y in zip(*fixed)],
+         -np.abs(alpha[fixed])),
+    ]
+    slacks = tuple(
+        ConstraintSlack(f"{kind}:{name}", s)
+        for kind, names, values in groups
+        for name, s in zip(names, values.tolist())
+    )
     worst = max((-s.slack for s in slacks), default=0.0)
     return FeasibilityReport(
-        slacks=tuple(slacks),
-        worst_violation=max(0.0, worst),
-        tolerance=tolerance,
+        slacks=slacks, worst_violation=max(0.0, worst), tolerance=tolerance
     )
 
 
 def format_tableau(lp: LinearProgram) -> str:
-    """Plain-text dump of the LP as built (objective plus <= rows)."""
+    """Plain-text dump of the LP as built: objective, flow rows, bounds."""
     cols = [f"a[{x}->{y}]" for (x, y) in lp.var_pairs]
     width = max([len(c) for c in cols] + [12])
     lines = ["maximize"]
-    lines.append(
-        "  " + "  ".join(f"{c:>{width}}" for c in cols)
-    )
-    lines.append(
-        "  " + "  ".join(f"{v:>{width}.6g}" for v in lp.objective)
-    )
+    lines.append("  " + "  ".join(f"{c:>{width}}" for c in cols))
+    lines.append("  " + "  ".join(f"{v:>{width}.6g}" for v in lp.objective))
     lines.append("subject to")
-    for label, row, b in zip(lp.row_labels, lp.rows, lp.bounds):
+    for label, row, b in zip(lp.labels, lp.rows, lp.bounds):
         body = "  ".join(f"{v:>{width}.6g}" for v in row)
-        lines.append(f"  {body}  <=  {b:.6g}    [{label}]")
-    lines.append("  all variables >= 0")
+        lines.append(f"  {body}  <=  {b:.6g}    [flow:{label}]")
+    for c, (x, y), u in zip(cols, lp.var_pairs, lp.upper):
+        pair = f"{lp.labels[x]}->{lp.labels[y]}"
+        lines.append(f"  0 <= {c} <= {u:.6g}    [cap:{pair}, box:{pair}]")
     return "\n".join(lines) + "\n"

@@ -4,7 +4,8 @@
 
 The files freeze, at fixed seeds, the marker-event counters of
 instrument_z_events and the reports and trace CSVs of run_simulation on
-three small markets (impatient types, tied values, gamma 1/2, 3/4 and 1).
+four small markets (impatient types, tied values, twelve types in `many`;
+gamma 1/2, 3/4 and 1).
 They were captured from the engine that replayed decisions through an
 observer hook, before the engine loop and the diagnostics post-pass
 replaced it; rerunning this script re-freezes them, which is only right

@@ -63,6 +63,26 @@ def random_instance(rng: random.Random, n_types, *, allow_impatient=False,
     return make_instance(types, values)
 
 
+def drawn_instance(rng: random.Random, n_types: int) -> MarketInstance:
+    """Criterion recipe: rates uniform in [0.5, 2], every pair valued in [0, 1]."""
+    types = tuple(
+        AgentType(i, f"t{i}", rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0))
+        for i in range(n_types)
+    )
+    values = {
+        (i, j): rng.uniform(0.0, 1.0)
+        for i in range(n_types)
+        for j in range(i, n_types)
+    }
+    return MarketInstance(types=types, values=MatchValueMatrix(n_types, values))
+
+
+def fixed_suite() -> list[MarketInstance]:
+    """The ten-instance suite shared by criteria 5 and 6."""
+    rng = random.Random(72026)
+    return [drawn_instance(rng, n) for n in (2, 2, 2, 3, 3, 3, 3, 4, 4, 4)]
+
+
 def rates_of(instance):
     return [t.arrival_rate for t in instance.types]
 

@@ -2,19 +2,27 @@
 
 Nothing here calls into dynmatch's solver or matcher; each oracle takes a
 structurally different route to the same number so that agreement is
-meaningful. They are exponential-time and only suitable for tiny inputs.
-The trace references at the end are linear: they walk event objects one
-at a time, as the package did before traces became columns.
+meaningful. The vertex enumeration and the matching search are
+exponential-time and only suitable for tiny inputs. The rest are code the
+package replaced, kept as references: the LP with explicit cap and box
+rows on a dense tableau, the compatibility-graph pair walk, and the trace
+walks over event objects one at a time.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
+from dynmatch.lp import LpSolution, SimplexError, SolveStatus
+from dynmatch.market import INFINITE, MarketInstance, validate_instance
+
 _FEAS_TOL = 1e-9
+_PIVOT_TOL = 1e-10
+_OBJ_TOL = 1e-10
 
 
 def polytope_upper_bound(
@@ -96,6 +104,190 @@ def polytope_upper_bound(
     return best
 
 
+# ---------------------------------------------------------------------------
+# The LP as the package first solved it: every cap and box bound written as
+# its own row of a dense tableau (2n^2 + n rows). Kept as the reference for
+# the bounded-variable simplex, which must land on the same vertex.
+
+
+@dataclass(frozen=True)
+class DenseProgram:
+    """Dense `maximize c.z s.t. A z <= b, z >= 0` over the free alpha variables."""
+
+    objective: np.ndarray  # (nv,)
+    rows: np.ndarray  # (m, nv)
+    bounds: np.ndarray  # (m,)
+    row_labels: tuple[str, ...]
+    var_pairs: tuple[tuple[int, int], ...]  # ordered (x, y) per column
+    n_types: int
+
+    @property
+    def n_vars(self) -> int:
+        return len(self.var_pairs)
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.bounds)
+
+
+def build_lp_dense(instance: MarketInstance) -> DenseProgram:
+    """The match-rate LP with explicit cap and box rows (2n^2 + n rows)."""
+    violations = validate_instance(instance)
+    if violations:
+        raise ValueError(
+            "invalid instance: " + "; ".join(v.code for v in violations)
+        )
+    n = instance.n_types
+    labels = instance.labels()
+    lam = [t.arrival_rate for t in instance.types]
+    patient = [t.departure_rate is not INFINITE for t in instance.types]
+    var_pairs = [(x, y) for x in range(n) if patient[x] for y in range(n)]
+    index = {pair: j for j, pair in enumerate(var_pairs)}
+    nv = len(var_pairs)
+    dense_v = instance.values.dense()
+
+    c = np.zeros(nv)
+    for (x, y), j in index.items():
+        c[j] = dense_v[x][y] * lam[y]
+
+    rows: list[np.ndarray] = []
+    bounds: list[float] = []
+    row_labels: list[str] = []
+
+    for (x, y), j in index.items():
+        row = np.zeros(nv)
+        row[j] = 1.0
+        rows.append(row)
+        bounds.append(lam[x] / instance.types[x].departure_rate)
+        row_labels.append(f"cap:{labels[x]}->{labels[y]}")
+
+    for x in range(n):
+        row = np.zeros(nv)
+        for y in range(n):
+            if (x, y) in index:
+                row[index[(x, y)]] += lam[y]
+            if (y, x) in index:
+                row[index[(y, x)]] += lam[x]
+        rows.append(row)
+        bounds.append(lam[x])
+        row_labels.append(f"flow:{labels[x]}")
+
+    for (x, y), j in index.items():
+        row = np.zeros(nv)
+        row[j] = 1.0
+        rows.append(row)
+        bounds.append(1.0)
+        row_labels.append(f"box:{labels[x]}->{labels[y]}")
+
+    return DenseProgram(
+        objective=c,
+        rows=np.array(rows) if rows else np.zeros((0, 0)),
+        bounds=np.array(bounds),
+        row_labels=tuple(row_labels),
+        var_pairs=tuple(var_pairs),
+        n_types=n,
+    )
+
+
+def solve_lp_dense(lp: DenseProgram) -> LpSolution:
+    """Primal tableau simplex from the slack basis, on the dense tableau.
+
+    Every row is <= with a nonnegative bound, so the slack basis is feasible
+    and no artificial variables are needed (the first phase of a two-phase
+    scheme is a no-op here). Dantzig pricing, switching to Bland's rule after
+    2 * (rows + cols) pivots without objective improvement; a hard iteration
+    cap raises SimplexError rather than looping silently.
+    """
+    m, nv = lp.n_rows, lp.n_vars
+    if nv == 0:
+        return LpSolution(
+            status=SolveStatus.OPTIMAL,
+            value=0.0,
+            alpha=np.zeros((lp.n_types, lp.n_types)),
+            var_pairs=lp.var_pairs,
+        )
+    if np.any(lp.bounds < 0):
+        raise SimplexError("builder emitted a negative bound; slack basis invalid")
+
+    # tableau columns: [structural vars | slacks | rhs]
+    tab = np.zeros((m + 1, nv + m + 1))
+    tab[:m, :nv] = lp.rows
+    tab[:m, nv : nv + m] = np.eye(m)
+    tab[:m, -1] = lp.bounds
+    tab[m, :nv] = -lp.objective
+    basis = list(range(nv, nv + m))
+
+    max_iterations = 1000 + 200 * (m + nv)
+    stall_limit = 2 * (m + nv)
+    stalled = 0
+    bland = False
+    last_obj = -np.inf
+
+    for _ in range(max_iterations):
+        obj_row = tab[m, : nv + m]
+        if bland:
+            negatives = np.nonzero(obj_row < -_OBJ_TOL)[0]
+            if negatives.size == 0:
+                break
+            col = int(negatives[0])
+        else:
+            col = int(np.argmin(obj_row))
+            if obj_row[col] >= -_OBJ_TOL:
+                break
+        ratios = np.full(m, np.inf)
+        positive = tab[:m, col] > _PIVOT_TOL
+        ratios[positive] = tab[:m, -1][positive] / tab[:m, col][positive]
+        best = np.min(ratios)
+        if not np.isfinite(best):
+            return LpSolution(
+                status=SolveStatus.UNBOUNDED,
+                value=float("inf"),
+                alpha=np.zeros((lp.n_types, lp.n_types)),
+                var_pairs=lp.var_pairs,
+            )
+        candidates = np.nonzero(ratios <= best + 1e-15)[0]
+        if bland:
+            # true Bland: leave the lowest-index basic variable
+            row = int(min(candidates, key=lambda r: basis[r]))
+        else:
+            row = int(candidates[0])
+
+        pivot = tab[row, col]
+        tab[row, :] /= pivot
+        for r in range(m + 1):
+            if r != row and tab[r, col] != 0.0:
+                tab[r, :] -= tab[r, col] * tab[row, :]
+        basis[row] = col
+
+        obj = tab[m, -1]
+        if obj > last_obj + 1e-12:
+            stalled = 0
+            last_obj = obj
+        else:
+            stalled += 1
+            if stalled >= stall_limit:
+                bland = True
+    else:
+        raise SimplexError(f"no optimum after {max_iterations} pivots")
+
+    z = np.zeros(nv + m)
+    for r, b in enumerate(basis):
+        z[b] = tab[r, -1]
+    alpha = np.zeros((lp.n_types, lp.n_types))
+    for j, (x, y) in enumerate(lp.var_pairs):
+        alpha[x, y] = z[j]
+    value = float(lp.objective @ z[:nv])
+
+    col_sums = alpha.sum(axis=0)
+    if np.any(col_sums > 1.0 + 1e-8):
+        raise SimplexError(
+            f"solution violates the per-arrival matching budget: max column sum {col_sums.max()}"
+        )
+    return LpSolution(
+        status=SolveStatus.OPTIMAL, value=value, alpha=alpha, var_pairs=lp.var_pairs
+    )
+
+
 def best_matching_by_enumeration(
     n: int, edge_weights: dict[tuple[int, int], float]
 ) -> float:
@@ -138,6 +330,36 @@ def matching_weight(edges: set[tuple[int, int]], weights: dict) -> float:
         seen.update((i, j))
         total += weights[(i, j)] if (i, j) in weights else weights[(j, i)]
     return total
+
+
+def windows_overlap(ai: float, di: float, aj: float, dj: float) -> bool:
+    # [a, d) windows: containment of either arrival instant in the other
+    # window; for ai <= aj this is (aj < di) or (ai == aj and aj < dj)
+    return (aj <= ai < dj) or (ai <= aj < di)
+
+
+def graph_edges_by_walk(nodes, instance):
+    """Edges and weights of the compatibility graph over nodes sorted by
+    arrival, by walking node pairs the way the package did before it
+    enumerated candidates with searchsorted."""
+    values = instance.values
+    edges: list[tuple[int, int]] = []
+    weights: list[float] = []
+    n = len(nodes)
+    for i in range(n):
+        ai = nodes[i].arrival
+        di = nodes[i].departure
+        for j in range(i + 1, n):
+            aj = nodes[j].arrival
+            if aj > ai and aj >= di:
+                break  # arrivals ascend, so no later j overlaps i either
+            if not windows_overlap(ai, di, aj, nodes[j].departure):
+                continue
+            v = values.get(nodes[i].agent.type_id, nodes[j].agent.type_id)
+            if v > 0.0:
+                edges.append((i, j))
+                weights.append(v)
+    return tuple(edges), tuple(weights)
 
 
 def replay_check_by_walk(events, instance) -> list[str]:

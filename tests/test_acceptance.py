@@ -33,7 +33,7 @@ from dynmatch.cli import main as cli_main
 from dynmatch.hindsight import CompatibilityGraph, GraphNode, max_weight_matching_exact
 from dynmatch.market import AgentId
 
-from helpers import one_type, patient_impatient
+from helpers import drawn_instance, fixed_suite, one_type, patient_impatient
 from oracles import best_matching_by_enumeration, polytope_upper_bound
 
 ONLINE_HALF = PolicyConfig(kind=PolicyKind.ONLINE_MATCH, gamma=0.5)
@@ -45,26 +45,6 @@ def verdict(capsys, number, name, problems, elapsed=None):
     with capsys.disabled():
         print(f"\nACCEPTANCE {number} ({name}): {status}{timing}")
     assert not problems, "; ".join(problems)
-
-
-def drawn_instance(rng: random.Random, n_types: int) -> MarketInstance:
-    """Criterion recipe: rates uniform in [0.5, 2], every pair valued in [0, 1]."""
-    types = tuple(
-        AgentType(i, f"t{i}", rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0))
-        for i in range(n_types)
-    )
-    values = {
-        (i, j): rng.uniform(0.0, 1.0)
-        for i in range(n_types)
-        for j in range(i, n_types)
-    }
-    return MarketInstance(types=types, values=MatchValueMatrix(n_types, values))
-
-
-def fixed_suite() -> list[MarketInstance]:
-    """The ten-instance suite shared by criteria 5 and 6."""
-    rng = random.Random(72026)
-    return [drawn_instance(rng, n) for n in (2, 2, 2, 3, 3, 3, 3, 4, 4, 4)]
 
 
 def test_criterion_1_lp_oracle_equivalence(capsys):

@@ -7,6 +7,7 @@ against pools small enough to solve by hand.
 import math
 import random
 
+import numpy as np
 import pytest
 
 from dynmatch import (
@@ -23,12 +24,17 @@ from dynmatch import (
 from dynmatch.hindsight import (
     CompatibilityGraph,
     GraphNode,
-    _windows_overlap,
+    _build_graph,
     max_weight_pool,
 )
 
 from helpers import make_instance, one_type, random_instance
-from oracles import best_matching_by_enumeration, matching_weight
+from oracles import (
+    best_matching_by_enumeration,
+    graph_edges_by_walk,
+    matching_weight,
+    windows_overlap,
+)
 
 
 def graph_of(windows, edge_values, horizon=100.0):
@@ -44,31 +50,42 @@ def graph_of(windows, edge_values, horizon=100.0):
     )
 
 
+def overlaps(ai, di, aj, dj):
+    """Whether the graph builder joins two agents of a unit-value type
+    present on [ai, di) and [aj, dj)."""
+    g = _build_graph(np.array([0, 0]), np.array([0, 1]), np.array([ai, aj]),
+                     np.array([di, dj]), one_type(), 100.0)
+    return g.n_edges == 1
+
+
 class TestOverlapRule:
     def test_disjoint_windows_no_overlap(self):
-        assert not _windows_overlap(0.0, 1.0, 2.0, 3.0)
-        assert not _windows_overlap(2.0, 3.0, 0.0, 1.0)
+        assert not overlaps(0.0, 1.0, 2.0, 3.0)
+        assert not overlaps(2.0, 3.0, 0.0, 1.0)
 
     def test_plain_overlap(self):
-        assert _windows_overlap(0.0, 2.0, 1.0, 3.0)
-        assert _windows_overlap(1.0, 3.0, 0.0, 2.0)
+        assert overlaps(0.0, 2.0, 1.0, 3.0)
+        assert overlaps(1.0, 3.0, 0.0, 2.0)
 
     def test_touching_endpoints_do_not_overlap(self):
         # [0,1) and [1,2): the first is already gone
-        assert not _windows_overlap(0.0, 1.0, 1.0, 2.0)
+        assert not overlaps(0.0, 1.0, 1.0, 2.0)
 
     def test_instant_agent_inside_a_window(self):
-        # impatient arrival at 1.5 caught by an agent present on [1, 2)
-        assert _windows_overlap(1.5, 1.5, 1.0, 2.0)
-        assert _windows_overlap(1.0, 2.0, 1.5, 1.5)
+        # impatient arrival at 1.5 caught by an agent present on [1, 2),
+        # and at 1.0 by one arriving at that same instant
+        assert overlaps(1.5, 1.5, 1.0, 2.0)
+        assert overlaps(1.0, 2.0, 1.5, 1.5)
+        assert overlaps(1.0, 1.0, 1.0, 2.0)
+        assert overlaps(1.0, 2.0, 1.0, 1.0)
 
     def test_two_simultaneous_instant_agents_missed(self):
         # both vanish at the instant they appear; neither is present for
         # the other, matching the engine which never pools impatient agents
-        assert not _windows_overlap(1.5, 1.5, 1.5, 1.5)
+        assert not overlaps(1.5, 1.5, 1.5, 1.5)
 
     def test_unbounded_departure(self):
-        assert _windows_overlap(0.0, math.inf, 5.0, 6.0)
+        assert overlaps(0.0, math.inf, 5.0, 6.0)
 
 
 class TestGraphFromTrace:
@@ -100,8 +117,8 @@ class TestGraphFromTrace:
         for (i, j), w in zip(g.edges, g.weights):
             ni, nj = g.nodes[i], g.nodes[j]
             assert i < j
-            assert _windows_overlap(ni.arrival, ni.departure,
-                                    nj.arrival, nj.departure)
+            assert windows_overlap(ni.arrival, ni.departure,
+                                   nj.arrival, nj.departure)
             assert w == inst.values.get(ni.agent.type_id, nj.agent.type_id)
             assert w > 0.0
 
@@ -120,6 +137,42 @@ class TestGraphFromTrace:
         )
         with pytest.raises(ValueError):
             build_compatibility_graph(trace, inst)
+
+
+class TestEdgesAgreeWithPairWalk:
+    """The searchsorted edge enumeration against the pair walk it replaced:
+    the same edges and weights in the same order."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_lattice_populations(self, seed):
+        # arrivals and departures on a coarse lattice, so exact ties between
+        # arrivals, departures and zero-length windows are common
+        rng = random.Random(500 + seed)
+        inst = random_instance(rng, rng.randint(2, 5), allow_impatient=True)
+        n = rng.randint(0, 60)
+        types = np.array([rng.randrange(inst.n_types) for _ in range(n)], dtype=np.int64)
+        arrivals = np.array([rng.randint(0, 12) * 0.5 for _ in range(n)])
+        stay = np.array([
+            0.0 if inst.types[x].impatient
+            else rng.choice([0.5, 1.0, 2.5, math.inf, rng.randint(1, 5) * 0.5])
+            for x in types.tolist()
+        ])
+        g = _build_graph(types, np.arange(n), arrivals, arrivals + stay, inst, 10.0)
+        edges, weights = graph_edges_by_walk(g.nodes, inst)
+        assert g.edges == edges
+        assert g.weights == weights
+        order = [(v.arrival, v.agent.type_id, v.agent.serial) for v in g.nodes]
+        assert order == sorted(order)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_simulated_traces(self, seed):
+        rng = random.Random(900 + seed)
+        inst = random_instance(rng, 4, allow_impatient=True)
+        trace, _ = run_simulation(
+            inst, PolicyConfig(kind=PolicyKind.GREEDY), None, horizon=60.0, seed=seed
+        )
+        g = build_compatibility_graph(trace, inst)
+        assert (g.edges, g.weights) == graph_edges_by_walk(g.nodes, inst)
 
 
 class TestExactMatcher:

@@ -1,9 +1,12 @@
 """Rate upper-bound LP: builder, simplex solver, feasibility checker.
 
 The solver is cross-checked against tests/oracles.py, which enumerates
-polytope vertices instead of pivoting, so the two routes share no code.
+polytope vertices instead of pivoting, so the two routes share no code;
+against the dense cap/box-row tableau it replaced, for the vertex; and
+against scipy's HiGHS where scipy is installed.
 """
 
+import json
 import math
 import random
 
@@ -17,20 +20,24 @@ from dynmatch import (
     build_lp,
     check_feasibility,
     format_tableau,
+    parse_instance,
     solve_lp,
     solve_upper_bound,
 )
+from golden.capture import MARKETS
 
 from helpers import (
     departs_of,
     dense_values,
+    drawn_instance,
+    fixed_suite,
     make_instance,
     one_type,
     patient_impatient,
     random_instance,
     rates_of,
 )
-from oracles import polytope_upper_bound
+from oracles import build_lp_dense, polytope_upper_bound, solve_lp_dense
 
 
 def oracle_value(instance):
@@ -214,6 +221,128 @@ class TestPresentation:
     def test_build_rejects_invalid_instance(self):
         with pytest.raises(ValueError):
             build_lp(make_instance([("a", -1.0, 1.0)], {}))
+
+    def test_one_row_per_type(self):
+        # cap and box are variable bounds, not rows
+        lp = build_lp(drawn_instance(random.Random(40), 40))
+        assert (lp.n_rows, lp.n_vars) == (40, 1600)
+        assert lp.rows.shape == (40, 1600)
+
+    def test_bounds_are_the_smaller_of_cap_and_box(self):
+        inst = random_instance(random.Random(14), 4, allow_impatient=True)
+        lp = build_lp(inst)
+        for (x, y), u in zip(lp.var_pairs, lp.upper):
+            t = inst.types[x]
+            assert not t.impatient
+            assert u == min(1.0, t.arrival_rate / t.departure_rate)
+
+    def test_feasibility_labels_every_constraint_in_order(self):
+        inst = patient_impatient()
+        labels = [s.label for s in check_feasibility(inst, solve_upper_bound(inst)).slacks]
+        pairs = ["patient->patient", "patient->flash"]
+        assert labels == (
+            [f"cap:{p}" for p in pairs]
+            + ["flow:patient", "flow:flash"]
+            + [f"box:{p}" for p in pairs]
+            + [f"nonneg:{p}" for p in pairs]
+            + ["fixed:flash->patient", "fixed:flash->flash"]
+        )
+
+    def test_slacks_recompute_from_alpha(self):
+        # an arbitrary alpha, feasible or not, with entries on impatient rows
+        rng = random.Random(15)
+        inst = random_instance(rng, 4, allow_impatient=True)
+        alpha = np.array([[rng.uniform(-0.2, 1.2) for _ in range(4)] for _ in range(4)])
+        labels = inst.labels()
+        lam = rates_of(inst)
+        expected = {}
+        for x, t in enumerate(inst.types):
+            flow = 0.0
+            for y in range(4):
+                pair = f"{labels[x]}->{labels[y]}"
+                if t.impatient:
+                    expected[f"fixed:{pair}"] = -abs(alpha[x, y])
+                    continue
+                expected[f"cap:{pair}"] = t.arrival_rate / t.departure_rate - alpha[x, y]
+                expected[f"box:{pair}"] = 1.0 - alpha[x, y]
+                expected[f"nonneg:{pair}"] = alpha[x, y]
+                flow += alpha[x, y] * lam[y]
+            for y, u in enumerate(inst.types):
+                if not u.impatient:
+                    flow += alpha[y, x] * lam[x]
+            expected[f"flow:{labels[x]}"] = lam[x] - flow
+        report = check_feasibility(inst, alpha)
+        got = {s.label: s.slack for s in report.slacks}
+        assert got.keys() == expected.keys()
+        for label, slack in expected.items():
+            assert got[label] == pytest.approx(slack, abs=1e-12), label
+        assert report.worst_violation == pytest.approx(
+            max(0.0, -min(expected.values())), abs=1e-12
+        )
+
+
+def reference_markets(group):
+    if group == "golden":
+        return [parse_instance(json.dumps(doc)) for doc in MARKETS.values()]
+    if group == "suite":
+        return fixed_suite()
+    if group == "criterion-1":
+        rng = random.Random(20260817)
+        return [drawn_instance(rng, rng.randint(1, 3)) for _ in range(200)]
+    if group == "random-40":
+        return [random_instance(random.Random(40), 40)]
+    # the criterion recipe at n = 40: the benchmark's wide market
+    return [drawn_instance(random.Random(40), 40)]
+
+
+@pytest.mark.parametrize(
+    "group", ["golden", "suite", "criterion-1", "random-40", "recipe-40"]
+)
+def test_same_vertex_as_the_dense_tableau(group):
+    # the online policy reads its attempt probabilities off alpha, so the
+    # bounded-variable simplex must land where the cap/box-row tableau did
+    for inst in reference_markets(group):
+        sol = solve_upper_bound(inst)
+        ref = solve_lp_dense(build_lp_dense(inst))
+        assert sol.status is ref.status is SolveStatus.OPTIMAL
+        assert np.abs(sol.alpha - ref.alpha).max() <= 1e-12
+        assert sol.value == ref.value
+
+
+def highs_value(inst):
+    """The LP optimum by scipy's HiGHS, with cap and box as bounds."""
+    from scipy.optimize import linprog
+
+    lam = np.array(rates_of(inst))
+    mu = np.array(departs_of(inst))
+    v = np.array(dense_values(inst))
+    n = len(lam)
+    pairs = [(x, y) for x in range(n) if math.isfinite(mu[x]) for y in range(n)]
+    flow = np.zeros((n, len(pairs)))
+    for j, (x, y) in enumerate(pairs):
+        flow[x, j] += lam[y]
+        flow[y, j] += lam[y]
+    res = linprog(
+        [-v[x, y] * lam[y] for x, y in pairs],
+        A_ub=flow,
+        b_ub=lam,
+        bounds=[(0.0, min(1.0, lam[x] / mu[x])) for x, _ in pairs],
+        method="highs",
+        options={"primal_feasibility_tolerance": 1e-10,
+                 "dual_feasibility_tolerance": 1e-10},
+    )
+    assert res.status == 0, res.message
+    return -res.fun
+
+
+@pytest.mark.parametrize("n", [60, 100])
+def test_large_markets_agree_with_highs(n):
+    pytest.importorskip("scipy")
+    inst = drawn_instance(random.Random(n), n)
+    sol = solve_upper_bound(inst)
+    assert sol.status is SolveStatus.OPTIMAL
+    assert sol.value == pytest.approx(highs_value(inst), rel=1e-9)
+    assert check_feasibility(inst, sol).ok
 
 
 @settings(max_examples=25, deadline=None)
