@@ -57,7 +57,6 @@ from .policies import (
     greedy_step,
     match_probability,
     online_match_step,
-    periodic_clear,
 )
 from .randomness import (
     Rng,
@@ -124,7 +123,6 @@ __all__ = [
     "merge_streams",
     "online_match_step",
     "parse_instance",
-    "periodic_clear",
     "presence_frequency",
     "read_trace_csv",
     "replay_check",

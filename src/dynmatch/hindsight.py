@@ -14,6 +14,9 @@ in component size, not in run length; a market that empties now and then
 splits the graph into short busy-period components, which is what makes
 long low-load horizons tractable. Components above the threshold raise
 MatchingTooLargeError instead of silently falling back to a heuristic.
+
+Periodic clearing's pools go to max_weight_pool: the same search on
+per-type counts, with a state budget that raises the same error.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .simulate import EventTrace, Population, generate_population
 
 
 class MatchingTooLargeError(RuntimeError):
-    """A connected component exceeds the exact matcher's size threshold."""
+    """A component exceeds the exact matcher's size threshold or state budget."""
 
 
 @dataclass(frozen=True)
@@ -258,22 +261,93 @@ def max_weight_matching_exact(
     return matching, total
 
 
-def max_weight_pool(n: int, weight) -> list[tuple[int, int]]:
-    """Exact pool matcher for periodic clearing: n entries, weight(i, j)
-    callable, returns disjoint index pairs of an optimal matching. Zero
-    and negative weights never enter the graph."""
-    edges = [
-        (i, j, w)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if (w := weight(i, j)) > 0.0
-    ]
+POOL_STATE_BUDGET = 200_000  # count vectors per component of a clearing pool
+
+
+def max_weight_pool(pool: tuple[int, ...], values: list[list[float]]) -> list[tuple[int, int]]:
+    """Exact pool matcher for periodic clearing: pool lists the agents'
+    types in ascending order, values is the dense value matrix (only
+    positive values are edges). Returns the sorted index pairs (i, j),
+    i < j, of an optimal matching.
+
+    Agents of one type are interchangeable, so the search runs on per-type
+    counts, per connected component of the present types: the lowest type
+    x present either leaves one agent unmatched or pairs it with a type
+    y >= x, tried in ascending order, a candidate kept only if strictly
+    better. Reconstruction keeps "unmatched" on a tie, else the lowest
+    optimal y, and takes agents from the front of each type's run. These
+    are _mask_matching's rules on the pool in (type, serial) order, so the
+    pairs are the same. The work is polynomial in pool size and
+    exponential in the number of types present; a component that needs
+    more than POOL_STATE_BUDGET states raises MatchingTooLargeError.
+    """
+    present = sorted(set(pool))
+    linked = [[j for j, y in enumerate(present) if y != x and values[x][y] > 0.0] for x in present]
     out: list[tuple[int, int]] = []
-    for comp, neighbor_mask, wlocal in _component_problems(n, edges):
-        pairs, _ = _mask_matching(comp, neighbor_mask, wlocal)
-        out.extend((min(i, j), max(i, j)) for i, j in pairs)
-    out.sort()
-    return out
+    for comp in _components(len(present), linked):
+        types = [present[k] for k in comp]
+        if len(types) > 1 or values[types[0]][types[0]] > 0.0:
+            out += _count_matching(
+                types, [pool.count(x) for x in types], [pool.index(x) for x in types], values,
+                f"clearing pool of {len(pool)} agents over {len(present)} types",
+            )
+    return sorted(out)
+
+
+def _count_matching(
+    types: list[int], counts: list[int], first: list[int], values: list[list[float]], pool: str
+) -> list[tuple[int, int]]:
+    """One component's pairs by pool index; type k has counts[k] agents
+    from pool index first[k] on. A state is a count vector packed in
+    mixed radix, type k being digit k, so taking an agent of type k
+    subtracts stride[k]."""
+    k = len(types)
+    radix = [c + 1 for c in counts]
+    stride = [math.prod(radix[:i]) for i in range(k)]
+    partners = [
+        [(j, values[types[i]][types[j]]) for j in range(i, k) if values[types[i]][types[j]] > 0.0]
+        for i in range(k)
+    ]
+
+    def split(s: int) -> tuple[int, int, list[tuple[int, float, int]]]:
+        """The lowest type present, the state without one of its agents,
+        and each partner type still available there with its state."""
+        i = 0
+        while s // stride[i] % radix[i] == 0:
+            i += 1
+        r = s - stride[i]
+        return i, r, [(j, w, r - stride[j]) for j, w in partners[i] if r // stride[j] % radix[j]]
+
+    best = {0: 0.0}
+    full = sum(c * st for c, st in zip(counts, stride))
+    stack = [full]
+    while stack:
+        s = stack[-1]
+        if s in best:
+            stack.pop()
+            continue
+        _, r, options = split(s)
+        todo = [u for u in (r, *(u for _, _, u in options)) if u not in best]
+        if todo:
+            stack += todo
+            continue
+        best[s] = max([best[r]] + [w + best[u] for _, w, u in options])
+        if len(best) > POOL_STATE_BUDGET:
+            raise MatchingTooLargeError(f"{pool} needs more than {POOL_STATE_BUDGET} matcher states")
+
+    pairs: list[tuple[int, int]] = []
+    taken = list(first)
+    s = full
+    while s:
+        i, r, options = split(s)
+        taken[i] += 1
+        if best[s] == best[r]:
+            s = r  # unmatched is optimal; ties prefer unmatched
+            continue
+        j, _, s = next(o for o in options if o[1] + best[o[2]] == best[s])
+        pairs.append((taken[i] - 1, taken[j]))
+        taken[j] += 1
+    return pairs
 
 
 # ---------------------------------------------------------------------------

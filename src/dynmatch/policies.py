@@ -1,12 +1,13 @@
 """Matching policies as pure decision procedures over live market state.
 
 The main policy draws a fresh uniformly random type order at every arrival
-and walks it with pre-evaluated Bernoulli checks; greedy and periodic
-clearing are reference baselines. The step functions decide one arrival at
-a time through a small state protocol (has_available /
-pop_oldest_available / instance). The engine in simulate.py runs the same
-rules over all arrivals at once; these scalar steps are the reference its
-tests compare it against.
+and walks it with pre-evaluated Bernoulli checks; greedy is the immediate
+baseline. The step functions decide one arrival at a time through a small
+state protocol (has_available / pop_oldest_available / instance). The
+engine in simulate.py runs the same rules over all arrivals at once; these
+scalar steps are the reference its tests compare it against. The delayed
+baseline, periodic clearing, has no per-arrival step: the engine runs it
+over clear times (simulate._run_clearing) with hindsight.max_weight_pool.
 
 Draw discipline for the random-order policy (frozen): each arrival consumes
 exactly 2n-1 values from its rng, n being the number of types; first n-1
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence
+from typing import Protocol, Sequence
 
 from .lp import LpSolution
 from .market import INFINITE, AgentId, MarketInstance, MatchValueMatrix
@@ -243,56 +244,3 @@ def greedy_step(
         order=(),
         pre_evaluated=(),
     )
-
-
-PoolMatcher = Callable[[int, Callable[[int, int], float]], list[tuple[int, int]]]
-
-
-def periodic_clear(
-    state,
-    values: MatchValueMatrix,
-    matcher: PoolMatcher,
-    exact_threshold: int = 20,
-) -> list[tuple[AgentId, AgentId, float]]:
-    """Clear the pool of currently available agents with a batch matching.
-
-    Pools up to exact_threshold agents go to the exact max-weight matcher;
-    larger pools fall back to greedy edge selection by descending weight
-    (ties by node index pair). Zero-value pairs are never matched. Matched
-    agents are removed from the state; the applied pairs are returned.
-
-    The matcher callable receives (node_count, weight_fn) over pool indices
-    and returns disjoint index pairs; the pool is ordered by (type, serial)
-    so results are deterministic.
-    """
-    pool: list[AgentId] = state.snapshot_available()
-
-    def weight(i: int, j: int) -> float:
-        return values.get(pool[i].type_id, pool[j].type_id)
-
-    if len(pool) <= exact_threshold:
-        pairs = matcher(len(pool), weight)
-    else:
-        edges = [
-            (weight(i, j), i, j)
-            for i in range(len(pool))
-            for j in range(i + 1, len(pool))
-            if weight(i, j) > 0.0
-        ]
-        edges.sort(key=lambda e: (-e[0], e[1], e[2]))
-        used = [False] * len(pool)
-        pairs = []
-        for w, i, j in edges:
-            if not (used[i] or used[j]):
-                used[i] = used[j] = True
-                pairs.append((i, j))
-
-    applied: list[tuple[AgentId, AgentId, float]] = []
-    for i, j in pairs:
-        w = weight(i, j)
-        if w <= 0.0:
-            continue
-        state.remove_available(pool[i])
-        state.remove_available(pool[j])
-        applied.append((pool[i], pool[j], w))
-    return applied

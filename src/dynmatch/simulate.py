@@ -12,11 +12,12 @@ each arrival walks a list of candidate types in order and matches the
 FIFO-oldest available agent of the first candidate that has one. The
 random-order policy's lists are its passing checks in permutation order,
 pre-evaluated for all arrivals in one numpy pass (_decision_blocks);
-greedy's list is fixed per arriving type. Periodic clearing matches only
-at clearing times, through MarketState and the exact pool matcher. The
-scalar step functions in policies.py are the reference this loop is
-tested against; diagnostics.py reads the same decision blocks after the
-run instead of watching it.
+greedy's list is fixed per arriving type. Periodic clearing, exact with a
+state budget, loops over clear times instead (_run_clearing): numpy
+windows give each clear's new agents, and the pool matcher runs once per
+distinct pool type tuple of the run. The scalar step functions in
+policies.py are the reference the walk loop is tested against;
+diagnostics.py reads the same decision blocks after the run.
 
 Rng lane layout per run seed s (frozen):
     derive_seed(s, "arrivals")                arrival times + lifetimes,
@@ -55,7 +56,7 @@ import numpy as np
 
 from .lp import LpSolution
 from .market import AgentId, MarketInstance, validate_instance
-from .policies import PolicyConfig, PolicyKind, attempt_probabilities, periodic_clear
+from .policies import PolicyConfig, PolicyKind, attempt_probabilities
 from .randomness import Rng, derive_seed, sample_homogeneous_stream
 
 _INV53 = 2.0 ** -53
@@ -311,49 +312,18 @@ def generate_population(
 
 
 class MarketState:
-    """Available-agent queues for periodic clearing.
+    """Periodic clearing's waiting agents: per type, ascending serials. At
+    a clear's snapshot each entry is present and unmatched; the agents
+    matched there are dropped at the next clear."""
 
-    Queues hold serials in arrival order. Departed agents are dropped when
-    a clearing takes its snapshot, so no departure sweep runs between
-    clearings.
-    """
+    __slots__ = ("waiting",)
 
-    __slots__ = ("instance", "clock", "_queues", "_arr", "_dep")
+    def __init__(self, n_types: int):
+        self.waiting: list[list[int]] = [[] for _ in range(n_types)]
 
-    def __init__(self, instance: MarketInstance, population: Population):
-        self.instance = instance
-        self.clock = 0.0
-        self._queues: list[deque[int]] = [deque() for _ in instance.types]
-        self._arr = [a.tolist() for a in population.arrivals]
-        self._dep = [d.tolist() for d in population.departures]
-
-    def set_clock(self, t: float) -> None:
-        self.clock = t
-
-    def arrival_time(self, agent: AgentId) -> float:
-        return self._arr[agent.type_id][agent.serial]
-
-    def departure_time(self, agent: AgentId) -> float:
-        return self._dep[agent.type_id][agent.serial]
-
-    def push(self, type_id: int, serial: int) -> None:
-        self._queues[type_id].append(serial)
-
-    def snapshot_available(self) -> list[AgentId]:
-        # a departed agent can sit behind a live one, so rebuild each queue
-        # keeping only live entries
-        out: list[AgentId] = []
-        for x in range(self.instance.n_types):
-            q = self._queues[x]
-            dep = self._dep[x]
-            live = [s for s in q if dep[s] > self.clock]
-            q.clear()
-            q.extend(live)
-            out.extend(AgentId(x, s) for s in live)
-        return out  # queues are serial-ascending, so this is (type, serial) sorted
-
-    def remove_available(self, agent: AgentId) -> None:
-        self._queues[agent.type_id].remove(agent.serial)
+    def snapshot_available(self) -> tuple[int, ...]:
+        """The pool's types in (type, serial) order, one entry per agent."""
+        return tuple(x for x, w in enumerate(self.waiting) for _ in w)
 
 
 # ---------------------------------------------------------------------------
@@ -624,50 +594,59 @@ def _run_walks(
 def _run_clearing(
     instance: MarketInstance, policy: PolicyConfig, pop: Population
 ) -> tuple[list[_MatchRecord], list[bytearray]]:
-    """Periodic clearing: arrivals only queue up; matches happen at clear
-    times, on the pool of available agents."""
-    from .hindsight import max_weight_pool  # local import; hindsight imports us
+    """Periodic clearing, one clear time at a time. The pool at clear time
+    t_c is every unmatched agent that arrived before t_c and departs after
+    it: a departure at t_c goes first, then the clear, then an arrival at
+    t_c. Pools with the same types get the same index pairs, so the
+    matcher runs once per distinct pool of the run."""
+    from .hindsight import MatchingTooLargeError, max_weight_pool  # hindsight imports us
 
-    assert policy.clear_period
+    period = policy.clear_period
+    times = period * np.arange(1, int(pop.horizon / period) + 2)
+    times = times[times <= pop.horizon]
+    values = instance.values.dense()
+    arr = [a.tolist() for a in pop.arrivals]
+    dep = [d.tolist() for d in pop.departures]
+    # per type, the serials still present at the first clear after their
+    # arrival, and how many of those have joined a pool by each clear
+    joins, joined = [], []
+    for a, d in zip(pop.arrivals, pop.departures):
+        first = np.searchsorted(times, a, "right")
+        stays = first < len(times)
+        stays[stays] = d[stays] > times[first[stays]]
+        joins.append(np.flatnonzero(stays).tolist())
+        joined.append(np.searchsorted(first[stays], np.arange(len(times)), "right").tolist())
     matched = [bytearray(len(a)) for a in pop.arrivals]
     records: list[_MatchRecord] = []
-    state = MarketState(instance, pop)
-    values = instance.values
-    period = policy.clear_period
-    clear_times = [
-        k * period
-        for k in range(1, int(pop.horizon / period) + 2)
-        if k * period <= pop.horizon
-    ]
-    ci = 0
-
-    def do_clear(tc: float) -> None:
-        state.set_clock(tc)
-        for a, b, v in periodic_clear(state, values, max_weight_pool):
-            matched[a.type_id][a.serial] = 1
-            matched[b.type_id][b.serial] = 1
-            records.append(
-                _ordered_pair(
-                    tc,
-                    state.arrival_time(a), a.type_id, a.serial,
-                    state.arrival_time(b), b.type_id, b.serial,
-                    v,
-                )
-            )
-
-    for i in range(pop.n_agents):
-        t = float(pop.order_times[i])
-        while ci < len(clear_times) and clear_times[ci] <= t:
-            do_clear(clear_times[ci])
-            ci += 1
-        y = int(pop.order_types[i])
-        s = int(pop.order_serials[i])
-        state.set_clock(t)
-        if state.departure_time(AgentId(y, s)) > t:
-            state.push(y, s)
-    while ci < len(clear_times):
-        do_clear(clear_times[ci])
-        ci += 1
+    state = MarketState(instance.n_types)
+    waiting = state.waiting
+    plans: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    begin = [0] * instance.n_types
+    for c, tc in enumerate(times.tolist()):
+        for x, w in enumerate(waiting):
+            if w:  # drop the agents matched or departed since the last clear
+                dx, mx = dep[x], matched[x]
+                w[:] = [s for s in w if dx[s] > tc and not mx[s]]
+            end = joined[x][c]
+            if end > begin[x]:
+                w += joins[x][begin[x]:end]
+                begin[x] = end
+        pool = state.snapshot_available()
+        pairs = plans.get(pool)
+        if pairs is None:
+            try:
+                pairs = plans[pool] = max_weight_pool(pool, values)
+            except MatchingTooLargeError as err:
+                raise MatchingTooLargeError(f"{err} at clear time {tc!r}") from None
+        if not pairs:
+            continue
+        serials = [s for w in waiting for s in w]
+        for i, j in pairs:
+            xa, sa, xb, sb = pool[i], serials[i], pool[j], serials[j]
+            matched[xa][sa] = matched[xb][sb] = 1
+            records.append(_ordered_pair(
+                tc, arr[xa][sa], xa, sa, arr[xb][sb], xb, sb, values[xa][xb]
+            ))
     return records, matched
 
 
@@ -683,7 +662,7 @@ def _build_outputs(
     record_trace: bool,
 ) -> tuple[EventTrace, SimulationReport]:
     n = instance.n_types
-    records = sorted(records, key=lambda r: (r[0], r[1], r[2], r[3], r[4]))
+    records = sorted(records)  # no two records share (time, a, b)
 
     window = horizon - burn_in
     counts = [[0] * n for _ in range(n)]

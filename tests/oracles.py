@@ -1,24 +1,34 @@
 """Slow independent reference implementations used to cross-check the package.
 
-Nothing here calls into dynmatch's solver or matcher; each oracle takes a
-structurally different route to the same number so that agreement is
-meaningful. The vertex enumeration and the matching search are
-exponential-time and only suitable for tiny inputs. The rest are code the
-package replaced, kept as references: the LP with explicit cap and box
-rows on a dense tableau, the compatibility-graph pair walk, and the trace
-walks over event objects one at a time.
+Nothing here calls into dynmatch's solver or matcher, bar one reuse
+named below; each oracle takes a structurally different route to the same
+number so that agreement is meaningful. The vertex enumeration and the
+matching search are exponential-time and only suitable for tiny inputs.
+The rest are code the package replaced, kept as references: the LP with
+explicit cap and box rows on a dense tableau, the compatibility-graph pair
+walk, the trace walks over event objects one at a time, and periodic
+clearing walked over arrivals with a bitmask pool matcher. That matcher
+reuses the bitmask DP the package keeps for max_weight_matching_exact,
+which shares no code with the count matcher it is checked against.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from dynmatch.lp import LpSolution, SimplexError, SolveStatus
-from dynmatch.market import INFINITE, MarketInstance, validate_instance
+from dynmatch.market import (
+    INFINITE,
+    AgentId,
+    MarketInstance,
+    MatchValueMatrix,
+    validate_instance,
+)
 
 _FEAS_TOL = 1e-9
 _PIVOT_TOL = 1e-10
@@ -458,3 +468,171 @@ def lifetimes_by_walk(events):
             dep[e.agent] = e.time
     windows = {agent: (t, dep.get(agent, math.inf)) for agent, t in arr.items()}
     return windows, [agent for agent in dep if agent not in arr]
+
+
+# ---------------------------------------------------------------------------
+# Periodic clearing as the package first ran it: a walk over arrivals that
+# queues agents in a MarketState, snapshots the pool as AgentIds at each
+# clear, and matches it with the bitmask DP through a weight callback.
+# Kept as the reference for the clearing loop and the count matcher.
+
+
+def max_weight_pool(n: int, weight) -> list[tuple[int, int]]:
+    """Exact pool matcher for periodic clearing: n entries, weight(i, j)
+    callable, returns disjoint index pairs of an optimal matching. Zero
+    and negative weights never enter the graph."""
+    from dynmatch.hindsight import _component_problems, _mask_matching
+
+    edges = [
+        (i, j, w)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if (w := weight(i, j)) > 0.0
+    ]
+    out: list[tuple[int, int]] = []
+    for comp, neighbor_mask, wlocal in _component_problems(n, edges):
+        pairs, _ = _mask_matching(comp, neighbor_mask, wlocal)
+        out.extend((min(i, j), max(i, j)) for i, j in pairs)
+    out.sort()
+    return out
+
+
+class MarketState:
+    """Available-agent queues for periodic clearing.
+
+    Queues hold serials in arrival order. Departed agents are dropped when
+    a clearing takes its snapshot, so no departure sweep runs between
+    clearings.
+    """
+
+    __slots__ = ("instance", "clock", "_queues", "_arr", "_dep")
+
+    def __init__(self, instance: MarketInstance, population):
+        self.instance = instance
+        self.clock = 0.0
+        self._queues: list[deque[int]] = [deque() for _ in instance.types]
+        self._arr = [a.tolist() for a in population.arrivals]
+        self._dep = [d.tolist() for d in population.departures]
+
+    def set_clock(self, t: float) -> None:
+        self.clock = t
+
+    def arrival_time(self, agent: AgentId) -> float:
+        return self._arr[agent.type_id][agent.serial]
+
+    def departure_time(self, agent: AgentId) -> float:
+        return self._dep[agent.type_id][agent.serial]
+
+    def push(self, type_id: int, serial: int) -> None:
+        self._queues[type_id].append(serial)
+
+    def snapshot_available(self) -> list[AgentId]:
+        # a departed agent can sit behind a live one, so rebuild each queue
+        # keeping only live entries
+        out: list[AgentId] = []
+        for x in range(self.instance.n_types):
+            q = self._queues[x]
+            dep = self._dep[x]
+            live = [s for s in q if dep[s] > self.clock]
+            q.clear()
+            q.extend(live)
+            out.extend(AgentId(x, s) for s in live)
+        return out  # queues are serial-ascending, so this is (type, serial) sorted
+
+    def remove_available(self, agent: AgentId) -> None:
+        self._queues[agent.type_id].remove(agent.serial)
+
+
+def periodic_clear(
+    state,
+    values: MatchValueMatrix,
+    matcher,
+    exact_threshold: int = 20,
+) -> list[tuple[AgentId, AgentId, float]]:
+    """Clear the pool of currently available agents with a batch matching.
+
+    Pools up to exact_threshold agents go to the exact max-weight matcher;
+    larger pools fall back to greedy edge selection by descending weight
+    (ties by node index pair). Zero-value pairs are never matched. Matched
+    agents are removed from the state; the applied pairs are returned.
+
+    The matcher callable receives (node_count, weight_fn) over pool indices
+    and returns disjoint index pairs; the pool is ordered by (type, serial)
+    so results are deterministic.
+    """
+    pool: list[AgentId] = state.snapshot_available()
+
+    def weight(i: int, j: int) -> float:
+        return values.get(pool[i].type_id, pool[j].type_id)
+
+    if len(pool) <= exact_threshold:
+        pairs = matcher(len(pool), weight)
+    else:
+        edges = [
+            (weight(i, j), i, j)
+            for i in range(len(pool))
+            for j in range(i + 1, len(pool))
+            if weight(i, j) > 0.0
+        ]
+        edges.sort(key=lambda e: (-e[0], e[1], e[2]))
+        used = [False] * len(pool)
+        pairs = []
+        for w, i, j in edges:
+            if not (used[i] or used[j]):
+                used[i] = used[j] = True
+                pairs.append((i, j))
+
+    applied: list[tuple[AgentId, AgentId, float]] = []
+    for i, j in pairs:
+        w = weight(i, j)
+        if w <= 0.0:
+            continue
+        state.remove_available(pool[i])
+        state.remove_available(pool[j])
+        applied.append((pool[i], pool[j], w))
+    return applied
+
+
+def clearing_by_arrivals(instance, period, pop, exact_threshold=20):
+    """Periodic clearing's match records (time, a_type, a_serial, b_type,
+    b_serial, value), earlier arrival in slot a, in the order made: arrivals
+    only queue up; matches happen at clear times, on the pool of available
+    agents."""
+    from dynmatch.simulate import _ordered_pair
+
+    records = []
+    state = MarketState(instance, pop)
+    values = instance.values
+    clear_times = [
+        k * period
+        for k in range(1, int(pop.horizon / period) + 2)
+        if k * period <= pop.horizon
+    ]
+    ci = 0
+
+    def do_clear(tc: float) -> None:
+        state.set_clock(tc)
+        for a, b, v in periodic_clear(state, values, max_weight_pool, exact_threshold):
+            records.append(
+                _ordered_pair(
+                    tc,
+                    state.arrival_time(a), a.type_id, a.serial,
+                    state.arrival_time(b), b.type_id, b.serial,
+                    v,
+                )
+            )
+
+    for i in range(pop.n_agents):
+        t = float(pop.order_times[i])
+        while ci < len(clear_times) and clear_times[ci] <= t:
+            do_clear(clear_times[ci])
+            ci += 1
+        y = int(pop.order_types[i])
+        s = int(pop.order_serials[i])
+        state.set_clock(t)
+        if state.departure_time(AgentId(y, s)) > t:
+            state.push(y, s)
+    while ci < len(clear_times):
+        do_clear(clear_times[ci])
+        ci += 1
+    return records

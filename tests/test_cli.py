@@ -2,10 +2,18 @@
 
 import json
 import random
+import re
 
 import pytest
 
-from dynmatch import emit_instance, read_trace_csv
+from dynmatch import (
+    derive_seed,
+    emit_instance,
+    generate_population,
+    hindsight,
+    load_instance,
+    read_trace_csv,
+)
 from dynmatch.cli import main
 
 from helpers import random_instance
@@ -168,6 +176,27 @@ class TestSimulate:
                               ["--policy", "periodic_clear"]))
         assert code == 2
         assert "clear_period" in capsys.readouterr().err
+
+    def test_clearing_pool_past_the_budget_exit_one(self, one_type_file, tmp_path,
+                                                    capsys, monkeypatch):
+        # with room for 2 count vectors, a one-type pool of two agents
+        # (states 2, 1, 0) is over budget
+        monkeypatch.setattr(hindsight, "POOL_STATE_BUDGET", 2)
+        code = main(["simulate", "--instance", one_type_file, "--seed", "1",
+                     "--horizon", "50", "--policy", "periodic_clear",
+                     "--clear-period", "5", "--out", str(tmp_path / "x")])
+        assert code == 1
+        line = capsys.readouterr().err.strip()
+        got = re.fullmatch(
+            r"error: clearing pool of (\d+) agents over 1 types needs more than 2 "
+            r"matcher states at clear time (\d+\.\d+)", line
+        )
+        assert got, line
+        # no earlier pool could match, so the pool is every agent present
+        pop = generate_population(load_instance(one_type_file), 50.0, derive_seed(1, 0))
+        tc = float(got.group(2))
+        present = (pop.arrivals[0] < tc) & (pop.departures[0] > tc)
+        assert int(got.group(1)) == present.sum() >= 2
 
     def test_burn_in_domain_error_exit_one(self, two_type_file, tmp_path):
         code = main(["simulate", "--instance", two_type_file, "--seed", "1",

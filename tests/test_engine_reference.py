@@ -4,10 +4,13 @@ The replays here decide one arrival at a time through the scalar step
 functions (policies.online_match_step, policies.greedy_step) over a plain
 list of available agents, and count marker events the way an observer
 watching those decisions would: departures processed before same-time
-arrivals, a presence counter of its own. run_simulation's match records
-and instrument_z_events' counters must equal theirs exactly.
+arrivals, a presence counter of its own. Periodic clearing is replayed by
+the arrival walk it replaced (oracles.clearing_by_arrivals, with the
+bitmask pool matcher). run_simulation's match records and
+instrument_z_events' counters must equal theirs exactly.
 """
 
+import math
 import random
 
 import numpy as np
@@ -33,6 +36,7 @@ from dynmatch.simulate import Population
 
 from golden.capture import counters_doc
 from helpers import make_instance
+from oracles import clearing_by_arrivals
 
 
 class ListState:
@@ -261,3 +265,35 @@ def test_ties_follow_the_scalar_steps(seed, monkeypatch):
         report.pair_match_counts
     )
     assert counters_doc(counters) == counters_doc(expected)
+
+
+def clearing_records(instance, pop, period):
+    """The arrival walk's match records, exact at every pool size."""
+    return sorted(clearing_by_arrivals(instance, period, pop, exact_threshold=math.inf))
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_clearing_matches_the_arrival_walk(seed):
+    rng = random.Random(3000 + seed)
+    instance = tied_instance(rng, rng.randint(1, 5))
+    horizon = 80.0
+    period = rng.choice([0.5, 1.0, 2.0, 3.0, 5.0])
+    pop = generate_population(instance, horizon, seed)
+    policy = PolicyConfig(kind=PolicyKind.PERIODIC_CLEAR, clear_period=period)
+    expected = clearing_records(instance, pop, period)
+    assert engine_records(instance, policy, None, horizon, seed) == expected
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_clearing_ties_follow_the_arrival_walk(seed, monkeypatch):
+    # clear instants on the population's half-unit grid, so that arrivals
+    # and departures fall exactly on them
+    rng = random.Random(4000 + seed)
+    instance = tied_instance(rng, rng.randint(1, 4))
+    horizon = 30.0
+    pop = lattice_population(instance, horizon, rng)
+    monkeypatch.setattr(simulate, "generate_population", lambda *args: pop)
+    period = rng.choice([0.5, 1.0, 1.5, 2.5])
+    policy = PolicyConfig(kind=PolicyKind.PERIODIC_CLEAR, clear_period=period)
+    expected = clearing_records(instance, pop, period)
+    assert engine_records(instance, policy, None, horizon, seed) == expected

@@ -1,7 +1,9 @@
-"""Hindsight benchmark: compatibility graph, exact matcher, estimator.
+"""Hindsight benchmark: compatibility graph, exact matcher, estimator, and
+the clearing pool matcher.
 
 The matcher is validated against tests/oracles.py's full enumeration and
-against pools small enough to solve by hand.
+against pools small enough to solve by hand; the pool matcher against the
+bitmask pool matcher it replaced, the enumeration and networkx.
 """
 
 import math
@@ -35,6 +37,7 @@ from oracles import (
     matching_weight,
     windows_overlap,
 )
+from oracles import max_weight_pool as bitmask_pool
 
 
 def graph_of(windows, edge_values, horizon=100.0):
@@ -248,26 +251,71 @@ class TestExactMatcher:
         assert value == 2.0
 
 
+def pool_values(rng, n_types):
+    """A symmetric value matrix whose entries repeat (ties) and include
+    zeros and negatives, which are no edges."""
+    values = [[0.0] * n_types for _ in range(n_types)]
+    for x in range(n_types):
+        for y in range(x, n_types):
+            v = rng.choice([-0.5, 0.0, 0.0, 0.25, 0.5, 0.5, 1.0, rng.uniform(-0.2, 1.0)])
+            values[x][y] = values[y][x] = v
+    return values
+
+
+def random_pool(rng, n_types, size):
+    return tuple(sorted(rng.randrange(n_types) for _ in range(size)))
+
+
+def pool_edges(pool, values):
+    return {
+        (i, j): values[pool[i]][pool[j]]
+        for i in range(len(pool))
+        for j in range(i + 1, len(pool))
+        if values[pool[i]][pool[j]] > 0.0
+    }
+
+
 class TestPoolMatcher:
+    """The count matcher against the bitmask DP it replaced, which it must
+    reproduce pair for pair, and against independent optima."""
+
     def test_agrees_with_enumeration(self):
         rng = random.Random(77)
-        for _ in range(40):
-            n = rng.randint(0, 9)
-            w = {}
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if rng.random() < 0.5:
-                        w[(i, j)] = rng.uniform(-0.2, 1.0)
-            pairs = max_weight_pool(n, lambda i, j: w.get((i, j), 0.0))
-            positive = {e: x for e, x in w.items() if x > 0}
-            got = sum(positive[e] for e in pairs)
-            assert all(e in positive for e in pairs)
-            seen = set()
-            for i, j in pairs:
-                assert i not in seen and j not in seen
-                seen.update((i, j))
-            assert got == pytest.approx(
-                best_matching_by_enumeration(n, positive), abs=1e-12
+        for _ in range(2000):
+            n_types = rng.randint(1, 5)
+            values = pool_values(rng, n_types)
+            pool = random_pool(rng, n_types, rng.randint(0, 9))
+            pairs = max_weight_pool(pool, values)
+            assert pairs == bitmask_pool(len(pool), lambda i, j: values[pool[i]][pool[j]])
+            edges = pool_edges(pool, values)
+            assert all(e in edges for e in pairs)
+            assert matching_weight(set(pairs), edges) == pytest.approx(
+                best_matching_by_enumeration(len(pool), edges), abs=1e-12
+            )
+
+    def test_pairs_equal_the_bitmask_dp_up_to_18_agents(self):
+        rng = random.Random(78)
+        for _ in range(400):
+            n_types = rng.randint(1, 6)
+            values = pool_values(rng, n_types)
+            pool = random_pool(rng, n_types, rng.randint(10, 18))
+            assert max_weight_pool(pool, values) == bitmask_pool(
+                len(pool), lambda i, j: values[pool[i]][pool[j]]
+            )
+
+    def test_large_pools_agree_with_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(79)
+        for _ in range(20):
+            n_types = rng.randint(1, 4)
+            values = pool_values(rng, n_types)
+            pool = random_pool(rng, n_types, rng.randint(21, 60))
+            edges = pool_edges(pool, values)
+            g = nx.Graph()
+            g.add_weighted_edges_from((i, j, w) for (i, j), w in edges.items())
+            want = sum(edges[min(e), max(e)] for e in nx.max_weight_matching(g))
+            assert matching_weight(set(max_weight_pool(pool, values)), edges) == pytest.approx(
+                want, abs=1e-9
             )
 
 

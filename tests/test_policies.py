@@ -1,5 +1,5 @@
 """Decision procedures: attempt probabilities, the random-order walk,
-greedy, and periodic clearing.
+greedy, and periodic clearing's pool matcher.
 
 State is faked with a plain list pool so these tests exercise only the
 policy logic; the engine's real state object is covered in test_simulate.
@@ -15,15 +15,19 @@ from dynmatch import (
     INFINITE,
     AgentId,
     LpSolution,
+    MatchingTooLargeError,
+    PolicyConfig,
+    PolicyKind,
     Rng,
     SolveStatus,
     attempt_probabilities,
     greedy_step,
     match_probability,
     online_match_step,
-    periodic_clear,
+    run_simulation,
     solve_upper_bound,
 )
+from dynmatch import hindsight
 from dynmatch.hindsight import max_weight_pool
 
 from helpers import make_instance, one_type, random_instance
@@ -45,12 +49,6 @@ class FakeState:
             if a.type_id == type_id:
                 return self.pool.pop(k)
         return None
-
-    def snapshot_available(self):
-        return list(self.pool)
-
-    def remove_available(self, agent):
-        self.pool.remove(agent)
 
 
 def manual_solution(n, alpha_entries):
@@ -269,62 +267,56 @@ class TestGreedyStep:
 
 
 class TestPeriodicClear:
+    """The clearing policy's pool matcher, on pools given as type tuples
+    in (type, serial) order; the engine's clearing loop is checked against
+    the arrival walk in test_engine_reference."""
+
     def test_two_compatible_agents(self):
-        inst = one_type()
-        state = FakeState(inst, [AgentId(0, 0), AgentId(0, 1)])
-        matches = periodic_clear(state, inst.values, max_weight_pool)
-        assert len(matches) == 1
-        (a, b, v) = matches[0]
-        assert {a, b} == {AgentId(0, 0), AgentId(0, 1)} and v == 1.0
-        assert state.pool == []
+        assert max_weight_pool((0, 0), one_type().values.dense()) == [(0, 1)]
 
     def test_triangle_takes_single_best_edge(self):
         inst = make_instance(
             [("a", 1.0, 1.0), ("b", 1.0, 1.0), ("c", 1.0, 1.0)],
             {(0, 1): 3.0, (0, 2): 2.0, (1, 2): 1.0},
         )
-        state = FakeState(inst, [AgentId(0, 0), AgentId(1, 0), AgentId(2, 0)])
-        matches = periodic_clear(state, inst.values, max_weight_pool)
-        assert len(matches) == 1
-        assert matches[0][2] == 3.0
-        assert len(state.pool) == 1  # the odd agent stays
+        # one pair only; the odd agent stays
+        assert max_weight_pool((0, 1, 2), inst.values.dense()) == [(0, 1)]
 
     def test_cross_pairs_beat_single_fat_edge(self):
         # {a1, a2, b1, b2}: v_aa = 1.5 but two cross edges total 2.0
         inst = make_instance(
             [("a", 1.0, 1.0), ("b", 1.0, 1.0)], {(0, 0): 1.5, (0, 1): 1.0}
         )
-        pool = [AgentId(0, 0), AgentId(0, 1), AgentId(1, 0), AgentId(1, 1)]
-        state = FakeState(inst, pool)
-        matches = periodic_clear(state, inst.values, max_weight_pool)
-        total = sum(v for _, _, v in matches)
-        assert total == pytest.approx(2.0)
-        assert all(a.type_id != b.type_id for a, b, _ in matches)
+        assert max_weight_pool((0, 0, 1, 1), inst.values.dense()) == [(0, 2), (1, 3)]
         # the brute-force enumeration oracle agrees this is the optimum
         weights = {(0, 1): 1.5, (0, 2): 1.0, (0, 3): 1.0,
                    (1, 2): 1.0, (1, 3): 1.0, (2, 3): 0.0}
         assert best_matching_by_enumeration(4, weights) == pytest.approx(2.0)
 
-    def test_greedy_fallback_above_threshold(self):
-        # same pool, but exact_threshold=0 forces the edge-by-weight route,
-        # which grabs the 1.5 self edge and strands the b agents
+    def test_pool_over_the_state_budget_raises(self, monkeypatch):
         inst = make_instance(
             [("a", 1.0, 1.0), ("b", 1.0, 1.0)], {(0, 0): 1.5, (0, 1): 1.0}
         )
-        pool = [AgentId(0, 0), AgentId(0, 1), AgentId(1, 0), AgentId(1, 1)]
-        state = FakeState(inst, pool)
-        matches = periodic_clear(
-            state, inst.values, max_weight_pool, exact_threshold=0
-        )
-        total = sum(v for _, _, v in matches)
-        assert total == pytest.approx(1.5)
+        # the pool (a, a, b, b) visits 6 count vectors (#a, #b): (2, 2),
+        # (1, 2), (0, 2), (1, 1), (0, 1) and (0, 0)
+        monkeypatch.setattr(hindsight, "POOL_STATE_BUDGET", 6)
+        assert max_weight_pool((0, 0, 1, 1), inst.values.dense()) == [(0, 2), (1, 3)]
+        monkeypatch.setattr(hindsight, "POOL_STATE_BUDGET", 5)
+        with pytest.raises(MatchingTooLargeError, match="pool of 4 agents over 2 types"):
+            max_weight_pool((0, 0, 1, 1), inst.values.dense())
+        # in a run, the error also names the clear time
+        monkeypatch.setattr(hindsight, "POOL_STATE_BUDGET", 2)
+        policy = PolicyConfig(kind=PolicyKind.PERIODIC_CLEAR, clear_period=5.0)
+        with pytest.raises(MatchingTooLargeError, match=r"at clear time \d"):
+            run_simulation(one_type(lam=2.0, mu=0.2), policy, horizon=50.0, seed=3)
 
     def test_empty_pool_clears_nothing(self):
-        inst = one_type()
-        assert periodic_clear(FakeState(inst), inst.values, max_weight_pool) == []
+        assert max_weight_pool((), one_type().values.dense()) == []
 
     def test_matched_agents_leave_the_pool(self):
-        inst = one_type()
-        state = FakeState(inst, [AgentId(0, i) for i in range(6)])
-        matches = periodic_clear(state, inst.values, max_weight_pool)
-        assert len(matches) == 3 and state.pool == []
+        assert max_weight_pool((0,) * 6, one_type().values.dense()) == [(0, 1), (2, 3), (4, 5)]
+        # in a run, no agent is matched twice across clears
+        policy = PolicyConfig(kind=PolicyKind.PERIODIC_CLEAR, clear_period=3.0)
+        trace, _ = run_simulation(one_type(lam=2.0, mu=0.2), policy, horizon=200.0, seed=4)
+        agents = [a for m in trace.matches() for a in (m.agent_a, m.agent_b)]
+        assert len(agents) > 100 and len(set(agents)) == len(agents)

@@ -7,13 +7,17 @@ are in test_golden.py.
 """
 
 import math
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dynmatch
 from dynmatch import (
     PolicyConfig,
     PolicyKind,
@@ -23,12 +27,15 @@ from dynmatch import (
     read_trace_csv,
     replay_check,
     run_simulation,
+    save_instance,
+    simulate,
     solve_upper_bound,
     write_trace_csv,
 )
 from dynmatch.market import pressure
 from dynmatch.simulate import ArrivalEvent, DepartureEvent, MatchEvent
 
+from golden.capture import POLICIES, POLICY_RUNS, policy_case
 from helpers import (
     make_instance,
     one_type,
@@ -330,3 +337,75 @@ def test_every_run_replays_clean(seed, kind):
     assert report.match_count == len(
         [m for m in trace.matches() if m.time > trace.burn_in]
     )
+
+
+def test_plain_record_sort_keeps_the_keyed_order(monkeypatch):
+    # _build_outputs sorts match records as plain tuples; no two records
+    # share (time, a, b), so the value never decides and the order is the
+    # one a key on the first five fields gives
+    seen = []
+    build = simulate._build_outputs
+
+    def spy(instance, policy, pop, records, *rest):
+        seen.append(list(records))
+        return build(instance, policy, pop, records, *rest)
+
+    monkeypatch.setattr(simulate, "_build_outputs", spy)
+    for market, horizon, seed in POLICY_RUNS:
+        for policy in POLICIES:
+            policy_case(market, horizon, seed, policy)
+    for seed in range(20):
+        rng = random.Random(6000 + seed)
+        inst = random_instance(rng, rng.randint(1, 5), allow_impatient=True)
+        for pol, sol in ((ONLINE, solve_upper_bound(inst)), (GREEDY, None),
+                         (PolicyConfig(kind=PolicyKind.PERIODIC_CLEAR, clear_period=3.0), None)):
+            run_simulation(inst, pol, sol, horizon=100.0, seed=seed)
+    assert len(seen) == len(POLICY_RUNS) * len(POLICIES) + 60
+    assert sum(map(len, seen)) > 1000
+    for records in seen:
+        assert len({r[:5] for r in records}) == len(records)
+        assert sorted(records) == sorted(records, key=lambda r: r[:5])
+
+
+CLEARING_RUN = """
+import json, sys
+from dynmatch import PolicyConfig, load_instance, run_simulation, write_trace_csv
+
+def run(path, period, horizon, seed, out):
+    policy = PolicyConfig(kind="periodic_clear", clear_period=float(period))
+    trace, report = run_simulation(load_instance(path), policy, horizon=float(horizon),
+                                   seed=int(seed))
+    write_trace_csv(trace, out + ".csv")
+    with open(out + ".json", "w") as fh:
+        json.dump(report.to_dict(), fh, sort_keys=True)
+
+if __name__ == "__main__":
+    run(*sys.argv[1:])
+"""
+
+
+def test_clearing_runs_leave_nothing_behind(tmp_path):
+    # each run keeps its own memo of matched pools: two runs in one
+    # process, in either order, write what each writes alone in a fresh
+    # interpreter
+    runs = []
+    for k, (n_types, period) in enumerate(((3, 2.0), (4, 1.5))):
+        path = tmp_path / f"market{k}.json"
+        save_instance(random_instance(random.Random(700 + k), n_types), str(path))
+        runs.append((str(path), str(period), "300.0", str(80 + k)))
+    src = os.path.dirname(os.path.dirname(dynmatch.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    for k, args in enumerate(runs):
+        subprocess.run([sys.executable, "-c", CLEARING_RUN, *args, str(tmp_path / f"fresh{k}")],
+                       env={**os.environ, "PYTHONPATH": path}, check=True)
+    script: dict = {}
+    exec(CLEARING_RUN, script)
+
+    def files(out):
+        return (tmp_path / f"{out}.csv").read_bytes(), (tmp_path / f"{out}.json").read_bytes()
+
+    for first, second in ((0, 1), (1, 0)):
+        for k in (first, second):
+            script["run"](*runs[k], str(tmp_path / f"after{first}-{k}"))
+        for k in (first, second):
+            assert files(f"after{first}-{k}") == files(f"fresh{k}")
