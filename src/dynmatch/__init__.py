@@ -31,7 +31,6 @@ from .lp import (
     SolveStatus,
     build_lp,
     check_feasibility,
-    format_tableau,
     solve_lp,
     solve_upper_bound,
 )
@@ -50,18 +49,14 @@ from .market import (
     validate_instance,
 )
 from .policies import (
-    MatchDecision,
     PolicyConfig,
     PolicyKind,
     attempt_probabilities,
-    greedy_step,
     match_probability,
-    online_match_step,
 )
 from .randomness import (
     Rng,
     derive_seed,
-    merge_streams,
     sample_exponential,
     sample_homogeneous_stream,
     thin_stream,
@@ -94,7 +89,6 @@ __all__ = [
     "LinearProgram",
     "LpSolution",
     "MarketInstance",
-    "MatchDecision",
     "MatchValueMatrix",
     "MatchingTooLargeError",
     "PolicyConfig",
@@ -111,17 +105,13 @@ __all__ = [
     "derive_seed",
     "emit_instance",
     "estimate_rates",
-    "format_tableau",
     "generate_population",
-    "greedy_step",
     "hindsight_value_estimate",
     "instrument_z_events",
     "load_instance",
     "match_probability",
     "max_weight_matching_exact",
     "merge_counters",
-    "merge_streams",
-    "online_match_step",
     "parse_instance",
     "presence_frequency",
     "read_trace_csv",

@@ -46,22 +46,29 @@ from .simulate import run_simulation, write_trace_csv
 
 NOT_APPLICABLE = "NOT_APPLICABLE"
 
+
+# a config field's required JSON type: (what it must be, the check)
+_NUMBER = ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool))
+_INTEGER = ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
+_STRING = ("a string", lambda v: isinstance(v, str))
 _CONFIG_FIELDS = {
-    "instance",
-    "policies",
-    "horizon",
-    "burn_in",
-    "replications",
-    "seed",
-    "gamma",
-    "out",
-    "clear_period",
-    "exact_threshold",
-    "hindsight_horizons",
-    "hindsight_replications",
-    "with_diagnostics",
+    "instance": _STRING,
+    "out": _STRING,
+    "policies": ("an array", lambda v: isinstance(v, list)),
+    "horizon": _NUMBER,
+    "burn_in": _NUMBER,
+    "gamma": _NUMBER,
+    "clear_period": _NUMBER,
+    "seed": _INTEGER,
+    "replications": _INTEGER,
+    "exact_threshold": _INTEGER,
+    "hindsight_replications": _INTEGER,
+    "hindsight_horizons": (
+        "a list of numbers", lambda v: isinstance(v, list) and all(map(_NUMBER[1], v))
+    ),
+    "with_diagnostics": ("true or false", lambda v: isinstance(v, bool)),
 }
-_POLICY_FIELDS = {"kind", "gamma", "clear_period"}
+_POLICY_FIELDS = {"kind": _STRING, "gamma": _NUMBER, "clear_period": _NUMBER}
 
 
 class ConfigError(ValueError):
@@ -123,28 +130,36 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"{path}: parse error at line {e.lineno}: {e.msg}") from e
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
-    unknown = set(doc) - _CONFIG_FIELDS
+    unknown = set(doc) - set(_CONFIG_FIELDS)
     if unknown:
         raise ConfigError(f"{path}: unknown config field(s): {sorted(unknown)}")
+    _check_types(doc, _CONFIG_FIELDS, f"{path}: ")
     if "policies" in doc:
-        if not isinstance(doc["policies"], list):
-            raise ConfigError(f"{path}: policies must be an array")
         normalized = []
         for i, e in enumerate(doc["policies"]):
             if isinstance(e, str):
                 e = {"kind": e}
             if not isinstance(e, dict):
                 raise ConfigError(f"{path}: policies[{i}] must be an object or string")
-            unknown = set(e) - _POLICY_FIELDS
+            unknown = set(e) - set(_POLICY_FIELDS)
             if unknown:
                 raise ConfigError(
                     f"{path}: policies[{i}]: unknown field(s) {sorted(unknown)}"
                 )
             if "kind" not in e:
                 raise ConfigError(f"{path}: policies[{i}]: missing kind")
+            _check_types(e, _POLICY_FIELDS, f"{path}: policies[{i}]: ")
             normalized.append(e)
         doc["policies"] = normalized
     return doc
+
+
+def _check_types(doc: dict, fields: dict, where: str) -> None:
+    """Raise ConfigError naming the first field whose JSON type is wrong."""
+    for key, value in doc.items():
+        what, ok = fields[key]
+        if not ok(value):
+            raise ConfigError(f"{where}{key} must be {what}, got {json.dumps(value)}")
 
 
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -483,25 +498,29 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
 # parser
 
 
-def _add_experiment_flags(p: argparse.ArgumentParser, *, compare_extras: bool = False):
+def _add_experiment_flags(
+    p: argparse.ArgumentParser, *, policies: bool = False, compare_extras: bool = False
+):
+    """The flags an experiment command reads; argparse rejects the rest."""
     p.add_argument("--config", help="JSON experiment config; flags override it")
     p.add_argument("--instance", help="market instance JSON file")
     p.add_argument("--seed", type=int, help="master seed")
     p.add_argument("--horizon", type=float, help="simulated time span")
-    p.add_argument("--burn-in", dest="burn_in", type=float,
-                   help="warmup span excluded from statistics (default horizon/100)")
     p.add_argument("--gamma", type=float,
                    help="attempt-scaling parameter in (0, 1] (default 0.5)")
     p.add_argument("--replications", type=int, help="independent runs (default 1)")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--policy", action="append",
-                   choices=[k.value for k in PolicyKind],
-                   help="policy to run; repeatable")
-    p.add_argument("--clear-period", dest="clear_period", type=float,
-                   help="period for periodic_clear")
-    p.add_argument("--exact-threshold", dest="exact_threshold", type=int,
-                   help="max component size for the exact matcher (default 20)")
+    if policies:
+        p.add_argument("--burn-in", dest="burn_in", type=float,
+                       help="warmup span excluded from statistics (default horizon/100)")
+        p.add_argument("--policy", action="append",
+                       choices=[k.value for k in PolicyKind],
+                       help="policy to run; repeatable")
+        p.add_argument("--clear-period", dest="clear_period", type=float,
+                       help="period for periodic_clear")
     if compare_extras:
+        p.add_argument("--exact-threshold", dest="exact_threshold", type=int,
+                       help="max component size for the exact matcher (default 20)")
         p.add_argument("--hindsight-horizons", dest="hindsight_horizons",
                        help="comma-separated horizon ladder for the hindsight benchmark")
         p.add_argument("--hindsight-replications", dest="hindsight_replications",
@@ -528,11 +547,11 @@ def make_parser() -> argparse.ArgumentParser:
     pl.set_defaults(func=cmd_lp)
 
     ps = sub.add_parser("simulate", help="run policies, write traces and a report")
-    _add_experiment_flags(ps)
+    _add_experiment_flags(ps, policies=True)
     ps.set_defaults(func=cmd_simulate)
 
     pc = sub.add_parser("compare", help="common-random-number policy comparison")
-    _add_experiment_flags(pc, compare_extras=True)
+    _add_experiment_flags(pc, policies=True, compare_extras=True)
     pc.set_defaults(func=cmd_compare)
 
     pd = sub.add_parser("diagnose", help="marker-event instrumentation and bounds")

@@ -28,10 +28,14 @@ match records and the policy-free presence of the population:
   actual matches; the counters record the coincidence fraction and the
   exact per-pair inequality secured <= matched.
 
-Clock draws come from dedicated rng lanes chained off
-(seed, "diag", type_id) so instrumentation never perturbs the run itself:
-clocks are full-horizon streams sampled post-run and intersected with the
-recorded condition windows.
+The count runs in two steps after the run: _marker_events reads the
+population, the decision blocks and the match records into a MarkerEvents
+record (the real events and each type's presence transitions), and
+_event_counters adds the stand-in clocks and the waiting-state timeline
+and builds the EventCounters. Clock draws come from dedicated rng lanes
+chained off (seed, "diag", type_id) so instrumentation never perturbs the
+run itself: clocks are full-horizon streams sampled post-run and
+intersected with the presence windows.
 """
 
 from __future__ import annotations
@@ -115,258 +119,238 @@ class EventCounters:
         }
 
 
-class MarkerObserver:
-    """Classifies a finished run's arrivals and departures into the marker
-    events and records condition windows for the stand-in clocks.
+@dataclass(frozen=True)
+class MarkerEvents:
+    """The marker events a finished run fixes by itself, before any clock.
 
-    observe() is a post-pass: it reads the population, the decision blocks
-    the engine walked and the match records, and redoes the walks on numpy
-    arrays. Presence is tracked independently of the market state: an agent
-    is present from arrival until its shadow departure, matched or not, and
-    an arrival's classification always uses presence *excluding* the
-    arriver. All clock realization happens in finish().
+    Per type (tuple indexed by type id): idle arrival times, inbound
+    attempt and sole departure times of the real events, and the presence
+    transitions as (times, present count after each). Per ordered pair
+    (dict keyed by (x, y)): first attempt times with a matched flag per
+    first attempt, and reached attempt times.
     """
 
-    def __init__(
-        self,
-        instance: MarketInstance,
-        solution: LpSolution,
-        gamma: float,
-        seed: int,
-        batch_count: int = 20,
-    ):
-        self.instance = instance
-        self.gamma = gamma
-        self.seed = seed
-        self.batch_count = batch_count
-        n = instance.n_types
-        self._n = n
-        # per type: presence transition times and the count after each
-        self._transitions: list[tuple[np.ndarray, np.ndarray]] = []
-        self._idle: list[np.ndarray] = []
-        self._inbound_real: list[np.ndarray] = []
-        self._sole_real: list[np.ndarray] = []
-        self._first: dict[tuple[int, int], np.ndarray] = {}
-        self._first_matched: dict[tuple[int, int], np.ndarray] = {}
-        self._reached: dict[tuple[int, int], np.ndarray] = {}
-        alpha = solution.alpha
-        self._clock_rates = []
-        for x, t in enumerate(instance.types):
-            if t.impatient:
-                self._clock_rates.append((0.0, None))
-                continue
+    horizon: float
+    idle: tuple[np.ndarray, ...]
+    inbound: tuple[np.ndarray, ...]
+    sole: tuple[np.ndarray, ...]
+    transitions: tuple[tuple[np.ndarray, np.ndarray], ...]
+    first: dict[tuple[int, int], np.ndarray]
+    first_matched: dict[tuple[int, int], np.ndarray]
+    reached: dict[tuple[int, int], np.ndarray]
+
+
+def _marker_events(
+    pop: Population,
+    perm: np.ndarray,
+    checks: np.ndarray,
+    records: list[tuple[float, int, int, int, int, float]],
+) -> MarkerEvents:
+    """Classify a random-order run's arrivals and departures into marker events.
+
+    perm and checks are the run's decision blocks (arrival i's type
+    permutation and its check outcomes in that order); records are its
+    match records, the arriver in slot b. An arrival's walk visits its
+    passing checks in permutation order and stops at the type it matched,
+    so those three inputs fix every marker event. Presence is tracked
+    independently of the market state: an agent is present from arrival
+    until its shadow departure, matched or not, and an arrival's
+    classification always uses presence *excluding* the arriver.
+    """
+    n = len(pop.arrivals)
+    total = pop.n_agents
+    times = pop.order_times
+    types = pop.order_types
+    serials = pop.order_serials
+    rows = np.arange(total)[:, None]
+    # flat[i]: arrival i's index in the type-major concatenation
+    base = np.concatenate(([0], np.cumsum([len(a) for a in pop.arrivals])))
+    flat = base[types] + serials
+
+    # present[i, x]: some x agent with a positive stay arrived before
+    # arrival i and has not departed by its time
+    deps = np.concatenate(pop.departures)[flat]
+    stays = deps > times
+    present = np.empty((total, n), dtype=bool)
+    for x in range(n):
+        flag = stays & (types == x)
+        came = np.cumsum(flag) - flag
+        left = np.searchsorted(np.sort(deps[flag]), times, side="right")
+        present[:, x] = came > left
+
+    # the type each arrival matched, -1 if none
+    rec = np.array(records, dtype=np.float64).reshape(-1, 6).astype(np.int64)
+    partner = np.full(total, -1, dtype=np.int64)
+    partner[base[rec[:, 3]] + rec[:, 4]] = rec[:, 1]
+    partner = partner[flat]
+
+    blocking = checks & present[rows, perm]
+    idle = ~blocking.any(axis=1)
+    pre = np.zeros((total, n), dtype=bool)
+    pre[rows, perm] = checks
+
+    # a walk reaches the passing checks up to its matched type; first
+    # attempts stop at the first passing check on a present type
+    step = np.arange(n)
+    hit = perm == partner[:, None]
+    stop = np.where(hit.any(axis=1), hit.argmax(axis=1), n - 1)
+    unblocked = np.where(idle, n - 1, blocking.argmax(axis=1))
+    reached = checks & (step <= stop[:, None])
+    first = reached & (step <= unblocked[:, None])
+
+    sole = []
+    transitions = []
+    for x in range(n):
+        arr, dep = pop.arrivals[x], pop.departures[x]
+        stay = dep > arr
+        gone = np.nonzero(stay & (dep <= pop.horizon))[0]
+        d = dep[gone[np.argsort(dep[gone], kind="stable")]]
+        a = arr[stay]
+        # a departure precedes arrivals at its own time
+        before = np.searchsorted(a, d, side="left") - np.arange(len(d))
+        sole.append(d[before == 1])
+        when = np.concatenate((d, a))
+        arriving = np.concatenate((np.zeros(len(d), bool), np.ones(len(a), bool)))
+        order = np.lexsort((arriving, when))
+        counts = np.cumsum(np.where(arriving[order], 1, -1))
+        transitions.append((when[order], counts))
+
+    return MarkerEvents(
+        horizon=pop.horizon,
+        idle=tuple(times[idle & (types == x)] for x in range(n)),
+        inbound=tuple(times[present[:, x] & pre[:, x]] for x in range(n)),
+        sole=tuple(sole),
+        transitions=tuple(transitions),
+        first=_by_pair(n, perm, types, first, times),
+        first_matched=_by_pair(n, perm, types, first, partner[:, None] == perm),
+        reached=_by_pair(n, perm, types, reached, times),
+    )
+
+
+def _event_counters(
+    markers: MarkerEvents,
+    instance: MarketInstance,
+    solution: LpSolution,
+    gamma: float,
+    seed: int,
+    batch_count: int,
+    pair_match_counts: tuple[tuple[int, ...], ...],
+) -> EventCounters:
+    """Add the stand-in clocks and the waiting-state timeline to a run's
+    marker events. Each clock is a full-horizon stream on its own rng
+    lane, kept only inside its condition window: no x present for the
+    inbound clock, a present count other than one for the departure clock."""
+    horizon = markers.horizon
+    n = instance.n_types
+    alpha = solution.alpha
+    inbound_all: list[np.ndarray] = []
+    sole_all: list[np.ndarray] = []
+    waiting_frac: list[float] = []
+    waiting_batches: list[np.ndarray] = []
+    secured: dict[tuple[int, int], np.ndarray] = {}
+    coincident: dict[tuple[int, int], int] = {}
+    bin_edges = np.linspace(0.0, horizon, batch_count + 1)
+
+    for x, t in enumerate(instance.types):
+        if t.impatient:
+            inbound_rate, sole_rate = 0.0, None
+        else:
             boost = max(1.0, t.departure_rate / t.arrival_rate)
-            inbound = gamma * boost * sum(
+            inbound_rate = gamma * boost * sum(
                 instance.types[y].arrival_rate * alpha[x][y] for y in range(n)
             )
-            self._clock_rates.append((inbound, t.departure_rate))
-        self._horizon: float | None = None
-
-    # -- the post-pass -----------------------------------------------------
-
-    def observe(
-        self,
-        pop: Population,
-        perm: np.ndarray,
-        checks: np.ndarray,
-        records: list[tuple[float, int, int, int, int, float]],
-    ) -> None:
-        """Record the marker events of a random-order run.
-
-        perm and checks are the run's decision blocks (arrival i's type
-        permutation and its check outcomes in that order); records are its
-        match records, the arriver in slot b. An arrival's walk visits its
-        passing checks in permutation order and stops at the type it
-        matched, so those three inputs fix every marker event.
-        """
-        n = self._n
-        total = pop.n_agents
-        times = pop.order_times
-        types = pop.order_types
-        serials = pop.order_serials
-        rows = np.arange(total)[:, None]
-        # flat[i]: arrival i's index in the type-major concatenation
-        base = np.concatenate(([0], np.cumsum([len(a) for a in pop.arrivals])))
-        flat = base[types] + serials
-
-        # present[i, x]: some x agent with a positive stay arrived before
-        # arrival i and has not departed by its time
-        deps = np.concatenate(pop.departures)[flat]
-        stays = deps > times
-        present = np.empty((total, n), dtype=bool)
-        for x in range(n):
-            flag = stays & (types == x)
-            came = np.cumsum(flag) - flag
-            left = np.searchsorted(np.sort(deps[flag]), times, side="right")
-            present[:, x] = came > left
-
-        # the type each arrival matched, -1 if none
-        rec = np.array(records, dtype=np.float64).reshape(-1, 6).astype(np.int64)
-        partner = np.full(total, -1, dtype=np.int64)
-        partner[base[rec[:, 3]] + rec[:, 4]] = rec[:, 1]
-        partner = partner[flat]
-
-        blocking = checks & present[rows, perm]
-        idle = ~blocking.any(axis=1)
-        pre = np.zeros((total, n), dtype=bool)
-        pre[rows, perm] = checks
-        self._idle = [times[idle & (types == x)] for x in range(n)]
-        self._inbound_real = [times[present[:, x] & pre[:, x]] for x in range(n)]
-
-        # a walk reaches the passing checks up to its matched type; first
-        # attempts stop at the first passing check on a present type
-        step = np.arange(n)
-        hit = perm == partner[:, None]
-        stop = np.where(hit.any(axis=1), hit.argmax(axis=1), n - 1)
-        unblocked = np.where(idle, n - 1, blocking.argmax(axis=1))
-        reached = checks & (step <= stop[:, None])
-        first = reached & (step <= unblocked[:, None])
-        self._reached = _by_pair(n, perm, types, reached, times)
-        self._first = _by_pair(n, perm, types, first, times)
-        self._first_matched = _by_pair(n, perm, types, first, partner[:, None] == perm)
-
-        self._sole_real = []
-        self._transitions = []
-        for x in range(n):
-            arr, dep = pop.arrivals[x], pop.departures[x]
-            stay = dep > arr
-            gone = np.nonzero(stay & (dep <= pop.horizon))[0]
-            d = dep[gone[np.argsort(dep[gone], kind="stable")]]
-            a = arr[stay]
-            # a departure precedes arrivals at its own time
-            before = np.searchsorted(a, d, side="left") - np.arange(len(d))
-            self._sole_real.append(d[before == 1])
-            when = np.concatenate((d, a))
-            arriving = np.concatenate((np.zeros(len(d), bool), np.ones(len(a), bool)))
-            order = np.lexsort((arriving, when))
-            counts = np.cumsum(np.where(arriving[order], 1, -1))
-            self._transitions.append((when[order], counts))
-        self._horizon = pop.horizon
-
-    # -- post-run assembly -------------------------------------------------
-
-    def _window_counts(
-        self, type_id: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Transition log -> (edge times, count on each segment); segment k
-        spans [edges[k], edges[k+1]) with edges[-1] implied at the horizon."""
-        times, counts = self._transitions[type_id]
-        return np.concatenate(([0.0], times)), np.concatenate(([0], counts))
-
-    def _clock_in_windows(
-        self, clock_times: np.ndarray, edges: np.ndarray, active: np.ndarray
-    ) -> np.ndarray:
-        if len(clock_times) == 0:
-            return clock_times
-        seg = np.searchsorted(edges, clock_times, side="right") - 1
-        return clock_times[active[seg]]
-
-    def finish(self, pair_match_counts: tuple[tuple[int, ...], ...]) -> EventCounters:
-        assert self._horizon is not None, "run did not complete"
-        horizon = self._horizon
-        n = self._n
-        inbound_all: list[np.ndarray] = []
-        sole_all: list[np.ndarray] = []
-        waiting_frac: list[float] = []
-        waiting_batches: list[np.ndarray] = []
-        secured: dict[tuple[int, int], np.ndarray] = {}
-        coincident: dict[tuple[int, int], int] = {}
-        bin_edges = np.linspace(0.0, horizon, self.batch_count + 1)
-
-        for x in range(n):
-            inbound_rate, sole_rate = self._clock_rates[x]
-            edges, counts = self._window_counts(x)
-            base = derive_seed(self.seed, "diag", x)
-            inbound_clock = np.array(
-                sample_homogeneous_stream(
-                    inbound_rate, horizon, Rng(derive_seed(base, "inbound"))
-                ).times
-            )
-            inbound_clock = self._clock_in_windows(inbound_clock, edges, counts == 0)
-            inbound = np.sort(
-                np.concatenate((np.array(self._inbound_real[x]), inbound_clock))
-            )
-            inbound_all.append(inbound)
-
-            if sole_rate is None:  # impatient type: no departure process
-                sole_all.append(np.empty(0))
-                waiting_frac.append(0.0)
-                waiting_batches.append(np.zeros(self.batch_count))
-                continue
-            sole_clock = np.array(
-                sample_homogeneous_stream(
-                    sole_rate, horizon, Rng(derive_seed(base, "departure"))
-                ).times
-            )
-            sole_clock = self._clock_in_windows(sole_clock, edges, counts != 1)
-            sole = np.sort(np.concatenate((np.array(self._sole_real[x]), sole_clock)))
-            sole_all.append(sole)
-
-            # waiting-state timeline: most recent marker is an idle arrival
-            idle = np.array(self._idle[x])
-            times = np.concatenate((idle, inbound, sole))
-            is_idle = np.concatenate(
-                (
-                    np.ones(len(idle), dtype=bool),
-                    np.zeros(len(inbound) + len(sole), dtype=bool),
-                )
-            )
-            order = np.argsort(times, kind="stable")
-            times = times[order]
-            is_idle = is_idle[order]
-            if len(times) == 0:
-                waiting_frac.append(0.0)
-                waiting_batches.append(np.zeros(self.batch_count))
-            else:
-                # waiting segments: one per idle event, [its time, next event)
-                starts = times[is_idle]
-                nxt = np.concatenate((times[1:], [horizon]))
-                ends = nxt[is_idle]
-                cum = np.array(
-                    [
-                        np.clip(np.minimum(ends, q) - starts, 0.0, None).sum()
-                        for q in bin_edges
-                    ]
-                )
-                per_bin = np.diff(cum)
-                waiting_batches.append(per_bin / np.diff(bin_edges))
-                waiting_frac.append(float(cum[-1] / horizon))
-
-            for (fx, fy), fire_times in self._first.items():
-                if fx != x:
-                    continue
-                ft = np.array(fire_times)
-                fm = np.array(self._first_matched[(fx, fy)], dtype=bool)
-                if len(times) == 0 or len(ft) == 0:
-                    secured[(fx, fy)] = np.empty(0)
-                    coincident[(fx, fy)] = 0
-                    continue
-                # waiting holds at t iff the latest marker strictly before t
-                # is an idle arrival; side="left" excludes markers at t itself
-                idx = np.searchsorted(times, ft, side="left") - 1
-                in_wait = (idx >= 0) & is_idle[np.clip(idx, 0, None)]
-                secured[(fx, fy)] = ft[in_wait]
-                coincident[(fx, fy)] = int((in_wait & fm).sum())
-
-        return EventCounters(
-            n_types=n,
-            horizon=horizon,
-            gamma=self.gamma,
-            idle_arrival_times=tuple(np.array(v) for v in self._idle),
-            inbound_attempt_times=tuple(inbound_all),
-            sole_departure_times=tuple(sole_all),
-            first_attempt_times={
-                k: np.array(v) for k, v in self._first.items()
-            },
-            reached_attempt_times={
-                k: np.array(v) for k, v in self._reached.items()
-            },
-            secured_attempt_times=secured,
-            secured_coincident=coincident,
-            pair_match_counts=pair_match_counts,
-            waiting_fraction=tuple(waiting_frac),
-            waiting_batches=tuple(waiting_batches),
+            sole_rate = t.departure_rate
+        # presence segment k spans [edges[k], edges[k+1]) with count[k]
+        # present; the last segment runs to the horizon
+        change_times, change_counts = markers.transitions[x]
+        edges = np.concatenate(([0.0], change_times))
+        count = np.concatenate(([0], change_counts))
+        base = derive_seed(seed, "diag", x)
+        inbound_clock = np.array(
+            sample_homogeneous_stream(
+                inbound_rate, horizon, Rng(derive_seed(base, "inbound"))
+            ).times
         )
+        seg = np.searchsorted(edges, inbound_clock, side="right") - 1
+        inbound_clock = inbound_clock[count[seg] == 0]
+        inbound = np.sort(np.concatenate((markers.inbound[x], inbound_clock)))
+        inbound_all.append(inbound)
+
+        if sole_rate is None:  # impatient type: no departure process
+            sole_all.append(np.empty(0))
+            waiting_frac.append(0.0)
+            waiting_batches.append(np.zeros(batch_count))
+            continue
+        sole_clock = np.array(
+            sample_homogeneous_stream(
+                sole_rate, horizon, Rng(derive_seed(base, "departure"))
+            ).times
+        )
+        seg = np.searchsorted(edges, sole_clock, side="right") - 1
+        sole_clock = sole_clock[count[seg] != 1]
+        sole = np.sort(np.concatenate((markers.sole[x], sole_clock)))
+        sole_all.append(sole)
+
+        # waiting-state timeline: most recent marker is an idle arrival
+        idle = markers.idle[x]
+        times = np.concatenate((idle, inbound, sole))
+        is_idle = np.concatenate(
+            (
+                np.ones(len(idle), dtype=bool),
+                np.zeros(len(inbound) + len(sole), dtype=bool),
+            )
+        )
+        order = np.argsort(times, kind="stable")
+        times = times[order]
+        is_idle = is_idle[order]
+        if len(times) == 0:
+            waiting_frac.append(0.0)
+            waiting_batches.append(np.zeros(batch_count))
+        else:
+            # waiting segments: one per idle event, [its time, next event)
+            starts = times[is_idle]
+            nxt = np.concatenate((times[1:], [horizon]))
+            ends = nxt[is_idle]
+            cum = np.array(
+                [
+                    np.clip(np.minimum(ends, q) - starts, 0.0, None).sum()
+                    for q in bin_edges
+                ]
+            )
+            per_bin = np.diff(cum)
+            waiting_batches.append(per_bin / np.diff(bin_edges))
+            waiting_frac.append(float(cum[-1] / horizon))
+
+        for (fx, fy), ft in markers.first.items():
+            if fx != x:
+                continue
+            fm = markers.first_matched[(fx, fy)]
+            if len(times) == 0 or len(ft) == 0:
+                secured[(fx, fy)] = np.empty(0)
+                coincident[(fx, fy)] = 0
+                continue
+            # waiting holds at t iff the latest marker strictly before t
+            # is an idle arrival; side="left" excludes markers at t itself
+            idx = np.searchsorted(times, ft, side="left") - 1
+            in_wait = (idx >= 0) & is_idle[np.clip(idx, 0, None)]
+            secured[(fx, fy)] = ft[in_wait]
+            coincident[(fx, fy)] = int((in_wait & fm).sum())
+
+    return EventCounters(
+        n_types=n,
+        horizon=horizon,
+        gamma=gamma,
+        idle_arrival_times=markers.idle,
+        inbound_attempt_times=tuple(inbound_all),
+        sole_departure_times=tuple(sole_all),
+        first_attempt_times=markers.first,
+        reached_attempt_times=markers.reached,
+        secured_attempt_times=secured,
+        secured_coincident=coincident,
+        pair_match_counts=pair_match_counts,
+        waiting_fraction=tuple(waiting_frac),
+        waiting_batches=tuple(waiting_batches),
+    )
 
 
 def instrument_z_events(
@@ -388,9 +372,14 @@ def instrument_z_events(
     report, pop, perm, checks, records = run_with_decisions(
         instance, solution, gamma, horizon=horizon, seed=seed
     )
-    observer = MarkerObserver(instance, solution, gamma, seed, batch_count)
-    observer.observe(pop, perm, checks, records)
-    return observer.finish(report.pair_match_counts), report
+    markers = _marker_events(pop, perm, checks, records)
+    return (
+        _event_counters(
+            markers, instance, solution, gamma, seed, batch_count,
+            report.pair_match_counts,
+        ),
+        report,
+    )
 
 
 def _by_pair(

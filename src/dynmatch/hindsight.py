@@ -8,12 +8,14 @@ Presence windows are [arrival, departure) half-open, so an impatient agent
 (zero-length window) is compatible exactly with agents present at its
 arrival instant, which mirrors the simulator's matching rule.
 
-The matcher is exact: branch and bound over edge inclusion, memoized on
-the remaining-vertex set of each connected component. Cost is exponential
-in component size, not in run length; a market that empties now and then
-splits the graph into short busy-period components, which is what makes
-long low-load horizons tractable. Components above the threshold raise
-MatchingTooLargeError instead of silently falling back to a heuristic.
+The matcher is exact: per connected component, it takes the lowest
+remaining vertex and either leaves it unmatched or pairs it with each of
+its remaining neighbors in turn, memoized on the remaining-vertex bitmask.
+No bound prunes the search. Cost is exponential in component size, not in
+run length; a market that empties now and then splits the graph into short
+busy-period components, which is what makes long low-load horizons
+tractable. Components above the threshold raise MatchingTooLargeError
+instead of silently falling back to a heuristic.
 
 Periodic clearing's pools go to max_weight_pool: the same search on
 per-type counts, with a state budget that raises the same error.
@@ -136,8 +138,9 @@ def _graph_from_population(pop: Population, instance: MarketInstance) -> Compati
 def _mask_matching(
     member: list[int], neighbor_mask: list[int], weight: dict[tuple[int, int], float]
 ) -> tuple[list[tuple[int, int]], float]:
-    """Max-weight matching over one component by branch and bound on the
-    lowest remaining vertex, memoized on the remaining-vertex bitmask.
+    """Max-weight matching over one component by exhaustive search on the
+    lowest remaining vertex (unmatched, or paired with each remaining
+    neighbor), memoized on the remaining-vertex bitmask, with no bound.
     member maps local bit positions to caller indices."""
     m = len(member)
     memo: dict[int, float] = {0: 0.0}

@@ -51,7 +51,6 @@ class LinearProgram:
     rows: np.ndarray  # (n, nv)
     bounds: np.ndarray  # (n,) flow budgets lambda_x
     upper: np.ndarray  # (nv,) min(1, lambda_x / mu_x)
-    labels: tuple[str, ...]  # type labels
     var_pairs: tuple[tuple[int, int], ...]  # ordered (x, y) per column
     n_types: int
 
@@ -108,7 +107,6 @@ def build_lp(instance: MarketInstance) -> LinearProgram:
         rows=rows,
         bounds=lam,
         upper=np.minimum(1.0, cap),
-        labels=instance.labels(),
         var_pairs=tuple(zip(xs.tolist(), ys.tolist())),
         n_types=n,
     )
@@ -287,20 +285,3 @@ def check_feasibility(
     return FeasibilityReport(
         slacks=slacks, worst_violation=max(0.0, worst), tolerance=tolerance
     )
-
-
-def format_tableau(lp: LinearProgram) -> str:
-    """Plain-text dump of the LP as built: objective, flow rows, bounds."""
-    cols = [f"a[{x}->{y}]" for (x, y) in lp.var_pairs]
-    width = max([len(c) for c in cols] + [12])
-    lines = ["maximize"]
-    lines.append("  " + "  ".join(f"{c:>{width}}" for c in cols))
-    lines.append("  " + "  ".join(f"{v:>{width}.6g}" for v in lp.objective))
-    lines.append("subject to")
-    for label, row, b in zip(lp.labels, lp.rows, lp.bounds):
-        body = "  ".join(f"{v:>{width}.6g}" for v in row)
-        lines.append(f"  {body}  <=  {b:.6g}    [flow:{label}]")
-    for c, (x, y), u in zip(cols, lp.var_pairs, lp.upper):
-        pair = f"{lp.labels[x]}->{lp.labels[y]}"
-        lines.append(f"  0 <= {c} <= {u:.6g}    [cap:{pair}, box:{pair}]")
-    return "\n".join(lines) + "\n"

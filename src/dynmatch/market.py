@@ -128,12 +128,6 @@ class MarketInstance:
     def labels(self) -> tuple[str, ...]:
         return tuple(t.label for t in self.types)
 
-    def type_by_label(self, label: str) -> AgentType:
-        for t in self.types:
-            if t.label == label:
-                return t
-        raise KeyError(label)
-
 
 @dataclass(frozen=True)
 class Violation:

@@ -1,13 +1,13 @@
-"""Matching policies as pure decision procedures over live market state.
+"""Policy configuration and the random-order policy's attempt probabilities.
 
 The main policy draws a fresh uniformly random type order at every arrival
-and walks it with pre-evaluated Bernoulli checks; greedy is the immediate
-baseline. The step functions decide one arrival at a time through a small
-state protocol (has_available / pop_oldest_available / instance). The
-engine in simulate.py runs the same rules over all arrivals at once; these
-scalar steps are the reference its tests compare it against. The delayed
-baseline, periodic clearing, has no per-arrival step: the engine runs it
-over clear times (simulate._run_clearing) with hindsight.max_weight_pool.
+and walks it with pre-evaluated Bernoulli checks, attempting type x with
+probability gamma * alpha_xy * max(1, mu_x/lambda_x); greedy is the
+immediate baseline; periodic clearing batches the available pool at clear
+times. The engine in simulate.py runs all three: the walks in _run_walks
+over decision blocks from _decision_blocks, clearing in _run_clearing with
+hindsight.max_weight_pool. The scalar step functions its tests compare it
+against live in tests/oracles.py.
 
 Draw discipline for the random-order policy (frozen): each arrival consumes
 exactly 2n-1 values from its rng, n being the number of types; first n-1
@@ -20,11 +20,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Protocol, Sequence
 
 from .lp import LpSolution
-from .market import INFINITE, AgentId, MarketInstance, MatchValueMatrix
-from .randomness import Rng
+from .market import INFINITE, MarketInstance
 
 _CLAMP_SLACK = 1e-12
 
@@ -80,40 +78,6 @@ class PolicyConfig:
         return out
 
 
-class MarketStateView(Protocol):
-    """What a decision procedure may ask of the live state."""
-
-    instance: MarketInstance
-
-    def has_available(self, type_id: int) -> bool: ...
-
-    def pop_oldest_available(self, type_id: int) -> AgentId | None: ...
-
-
-@dataclass(frozen=True)
-class Consideration:
-    """One iteration of the random-order walk: which type and whether the
-    pre-evaluated check passed."""
-
-    type_id: int
-    attempted: bool
-
-
-@dataclass(frozen=True)
-class MatchDecision:
-    partner: AgentId | None
-    attempts: tuple[Consideration, ...]  # types iterated, in order, up to the stop
-    order: tuple[int, ...]  # full permutation drawn for this arrival
-    pre_evaluated: tuple[bool, ...]  # check outcome per type id, all types
-
-    @property
-    def matched(self) -> bool:
-        return self.partner is not None
-
-
-NO_DECISION = MatchDecision(partner=None, attempts=(), order=(), pre_evaluated=())
-
-
 def match_probability(
     alpha_xy: float,
     lambda_x: float,
@@ -166,81 +130,3 @@ def attempt_probabilities(
                 float(solution.alpha[x, y]), tx.arrival_rate, tx.departure_rate, gamma
             )
     return probs
-
-
-def online_match_step(
-    state: MarketStateView,
-    arriving: AgentId,
-    solution: LpSolution,
-    gamma: float,
-    rng: Rng,
-    probs: Sequence[Sequence[float]] | None = None,
-) -> MatchDecision:
-    """Run the random-order walk for one arrival and apply any match.
-
-    Types are visited in a fresh uniform permutation. Each visited type's
-    Bernoulli check is pre-evaluated (all n uniforms are drawn up front, in
-    permutation-position order, so later positions have defined outcomes
-    even after an early stop). A passing check with an available partner
-    matches the FIFO-oldest such partner and stops the walk; a passing
-    check with nobody available records an attempt and moves on.
-
-    The arriving agent must not be in the state yet.
-    """
-    instance = state.instance
-    n = instance.n_types
-    y = arriving.type_id
-    if probs is None:
-        probs = attempt_probabilities(instance, solution, gamma)
-
-    order = list(range(n))
-    rng.shuffle(order)
-    uniforms = [rng.uniform() for _ in range(n)]
-
-    pre = [False] * n
-    for k, x in enumerate(order):
-        pre[x] = uniforms[k] <= probs[x][y]
-
-    considered: list[Consideration] = []
-    partner: AgentId | None = None
-    for x in order:
-        attempted = pre[x]
-        considered.append(Consideration(x, attempted))
-        if attempted:
-            candidate = state.pop_oldest_available(x)
-            if candidate is not None:
-                partner = candidate
-                break
-    return MatchDecision(
-        partner=partner,
-        attempts=tuple(considered),
-        order=tuple(order),
-        pre_evaluated=tuple(pre),
-    )
-
-
-def greedy_step(
-    state: MarketStateView,
-    arriving: AgentId,
-    values: MatchValueMatrix,
-) -> MatchDecision:
-    """Match the arrival to the best available positive-value partner.
-
-    Highest v_xy wins; ties go to the lowest type id; within a type the
-    FIFO-oldest agent is taken. No positive-value partner means no match.
-    """
-    y = arriving.type_id
-    best_x = -1
-    best_v = 0.0
-    for x in range(state.instance.n_types):
-        v = values.get(x, y)
-        if v > best_v and state.has_available(x):
-            best_x, best_v = x, v
-    if best_x < 0:
-        return NO_DECISION
-    return MatchDecision(
-        partner=state.pop_oldest_available(best_x),
-        attempts=(),
-        order=(),
-        pre_evaluated=(),
-    )

@@ -10,22 +10,25 @@ chooses to batch internally.
 Frozen draw conventions (changing any of these invalidates recorded traces):
   - uniform in (0, 1]:   ((raw >> 11) + 1) * 2**-53
   - bounded integer:     raw % n
-  - shuffle:             Fisher-Yates, i = n-1 .. 1, j = next_below(i + 1)
+  - shuffle:             Fisher-Yates, i = n-1 .. 1, j = raw % (i + 1)
   - exponential:         -log(u) / rate; scalar path uses math.log, stream
                          sampling uses numpy's log on blocks (both are fixed
                          per path and never cross-compared)
   - lane splitting:      derive_seed mixes each lane token into the running
                          state; string tokens hash through blake2b-64
+
+Rng draws only raw integers and uniforms. The bounded-integer and shuffle
+rules are applied where they are used: simulate._decision_blocks runs the
+shuffle on whole blocks of raw draws, and the scalar next_below and shuffle
+in tests/oracles.py pin it one draw at a time.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -102,18 +105,6 @@ class Rng:
         """Uniform draw in (0, 1]."""
         return ((self.next_uint64() >> 11) + 1) * _INV53
 
-    def next_below(self, n: int) -> int:
-        """Integer in [0, n). Modulo method; bias is O(n / 2**64)."""
-        if n <= 0:
-            raise ValueError("n must be positive")
-        return self.next_uint64() % n
-
-    def shuffle(self, seq: list) -> None:
-        """In-place Fisher-Yates shuffle with the frozen draw order."""
-        for i in range(len(seq) - 1, 0, -1):
-            j = self.next_below(i + 1)
-            seq[i], seq[j] = seq[j], seq[i]
-
     def uint64_block(self, count: int) -> np.ndarray:
         out = self._raw_block(self.counter, count)
         self.counter += count
@@ -189,25 +180,6 @@ def sample_homogeneous_stream(
         chunk = max(16, chunk // 2)
 
 
-def merge_streams(streams: Sequence[EventStream]) -> list[tuple[float, int]]:
-    """Sorted union of several streams, each event tagged with its source index.
-
-    Ties break toward the lower source index. Raises ValueError on an
-    unsorted input stream.
-    """
-    for i, s in enumerate(streams):
-        for a, b in zip(s.times, s.times[1:]):
-            if b < a:
-                raise ValueError(f"stream {i} ({s.label!r}) is not sorted")
-
-    def tagged(s: EventStream, i: int) -> Iterator[tuple[float, int]]:
-        # a genexp here would close over the loop variable and tag every
-        # stream with the last index; the def freezes i per stream
-        return ((t, i) for t in s.times)
-
-    return list(heapq.merge(*(tagged(s, i) for i, s in enumerate(streams))))
-
-
 def thin_stream(
     stream: EventStream,
     keep_probability: float | Callable[[float], float],
@@ -229,12 +201,3 @@ def thin_stream(
     u = rng.uniform_block(len(times)) if times else np.empty(0)
     kept = tuple(t for t, p, ui in zip(times, probs, u.tolist()) if ui <= p)
     return EventStream(times=kept, label=stream.label)
-
-
-def write_stream_csv(stream: EventStream, path: str) -> None:
-    """Dump a stream as (time, label) rows for eyeballing."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "label"])
-        for t in stream.times:
-            writer.writerow([repr(t), stream.label])

@@ -16,7 +16,7 @@ greedy's list is fixed per arriving type. Periodic clearing, exact with a
 state budget, loops over clear times instead (_run_clearing): numpy
 windows give each clear's new agents, and the pool matcher runs once per
 distinct pool type tuple of the run. The scalar step functions in
-policies.py are the reference the walk loop is tested against;
+tests/oracles.py are the reference the walk loop is tested against;
 diagnostics.py reads the same decision blocks after the run.
 
 Rng lane layout per run seed s (frozen):
@@ -503,7 +503,7 @@ def _decision_blocks(
     Returns (perm, checks), both (arrivals, n): row i is arrival i's type
     permutation and its check outcomes in permutation-position order.
     Consumes exactly 2n-1 draws per arrival from the decisions lane,
-    bit-identical to the scalar walk in policies.online_match_step.
+    bit-identical to the scalar online_match_step in tests/oracles.py.
     """
     n = instance.n_types
     total = pop.n_agents
@@ -540,7 +540,8 @@ def _candidate_walks(perm: np.ndarray, checks: np.ndarray) -> Iterator[list[int]
 
 def _greedy_walks(instance: MarketInstance, pop: Population) -> Iterator[list[int]]:
     """Per arrival of type y, the types x with v_xy > 0 by descending value,
-    ties to the lower id: policies.greedy_step's preference order."""
+    ties to the lower id: the preference order of the scalar greedy_step
+    in tests/oracles.py."""
     values = instance.values.dense()
     n = instance.n_types
     by_type = [

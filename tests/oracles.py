@@ -6,10 +6,12 @@ number so that agreement is meaningful. The vertex enumeration and the
 matching search are exponential-time and only suitable for tiny inputs.
 The rest are code the package replaced, kept as references: the LP with
 explicit cap and box rows on a dense tableau, the compatibility-graph pair
-walk, the trace walks over event objects one at a time, and periodic
-clearing walked over arrivals with a bitmask pool matcher. That matcher
-reuses the bitmask DP the package keeps for max_weight_matching_exact,
-which shares no code with the count matcher it is checked against.
+walk, the trace walks over event objects one at a time, periodic
+clearing walked over arrivals with a bitmask pool matcher, and the scalar
+step functions of the random-order and greedy policies with their
+one-draw-at-a-time Fisher-Yates shuffle. The pool matcher reuses the
+bitmask DP the package keeps for max_weight_matching_exact, which shares
+no code with the count matcher it is checked against.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -29,6 +32,8 @@ from dynmatch.market import (
     MatchValueMatrix,
     validate_instance,
 )
+from dynmatch.policies import attempt_probabilities
+from dynmatch.randomness import Rng
 
 _FEAS_TOL = 1e-9
 _PIVOT_TOL = 1e-10
@@ -636,3 +641,127 @@ def clearing_by_arrivals(instance, period, pop, exact_threshold=20):
         do_clear(clear_times[ci])
         ci += 1
     return records
+
+
+# ---------------------------------------------------------------------------
+# The random-order and greedy policies as the package first ran them: one
+# arrival at a time, over a state object offering has_available(type_id),
+# pop_oldest_available(type_id) and an instance attribute, with the
+# Fisher-Yates shuffle drawn one integer at a time. Kept as the reference
+# for the engine's walk loop and its pre-evaluated decision blocks.
+
+
+def next_below(rng: Rng, n: int) -> int:
+    """Integer in [0, n). Modulo method; bias is O(n / 2**64)."""
+    if n <= 0:
+        raise ValueError("n must be positive")
+    return rng.next_uint64() % n
+
+
+def shuffle(rng: Rng, seq: list) -> None:
+    """In-place Fisher-Yates shuffle with the frozen draw order."""
+    for i in range(len(seq) - 1, 0, -1):
+        j = next_below(rng, i + 1)
+        seq[i], seq[j] = seq[j], seq[i]
+
+
+@dataclass(frozen=True)
+class Consideration:
+    """One iteration of the random-order walk: which type and whether the
+    pre-evaluated check passed."""
+
+    type_id: int
+    attempted: bool
+
+
+@dataclass(frozen=True)
+class MatchDecision:
+    partner: AgentId | None
+    attempts: tuple[Consideration, ...]  # types iterated, in order, up to the stop
+    order: tuple[int, ...]  # full permutation drawn for this arrival
+    pre_evaluated: tuple[bool, ...]  # check outcome per type id, all types
+
+    @property
+    def matched(self) -> bool:
+        return self.partner is not None
+
+
+NO_DECISION = MatchDecision(partner=None, attempts=(), order=(), pre_evaluated=())
+
+
+def online_match_step(
+    state,
+    arriving: AgentId,
+    solution: LpSolution,
+    gamma: float,
+    rng: Rng,
+    probs: Sequence[Sequence[float]] | None = None,
+) -> MatchDecision:
+    """Run the random-order walk for one arrival and apply any match.
+
+    Types are visited in a fresh uniform permutation. Each visited type's
+    Bernoulli check is pre-evaluated (all n uniforms are drawn up front, in
+    permutation-position order, so later positions have defined outcomes
+    even after an early stop). A passing check with an available partner
+    matches the FIFO-oldest such partner and stops the walk; a passing
+    check with nobody available records an attempt and moves on.
+
+    The arriving agent must not be in the state yet.
+    """
+    instance = state.instance
+    n = instance.n_types
+    y = arriving.type_id
+    if probs is None:
+        probs = attempt_probabilities(instance, solution, gamma)
+
+    order = list(range(n))
+    shuffle(rng, order)
+    uniforms = [rng.uniform() for _ in range(n)]
+
+    pre = [False] * n
+    for k, x in enumerate(order):
+        pre[x] = uniforms[k] <= probs[x][y]
+
+    considered: list[Consideration] = []
+    partner: AgentId | None = None
+    for x in order:
+        attempted = pre[x]
+        considered.append(Consideration(x, attempted))
+        if attempted:
+            candidate = state.pop_oldest_available(x)
+            if candidate is not None:
+                partner = candidate
+                break
+    return MatchDecision(
+        partner=partner,
+        attempts=tuple(considered),
+        order=tuple(order),
+        pre_evaluated=tuple(pre),
+    )
+
+
+def greedy_step(
+    state,
+    arriving: AgentId,
+    values: MatchValueMatrix,
+) -> MatchDecision:
+    """Match the arrival to the best available positive-value partner.
+
+    Highest v_xy wins; ties go to the lowest type id; within a type the
+    FIFO-oldest agent is taken. No positive-value partner means no match.
+    """
+    y = arriving.type_id
+    best_x = -1
+    best_v = 0.0
+    for x in range(state.instance.n_types):
+        v = values.get(x, y)
+        if v > best_v and state.has_available(x):
+            best_x, best_v = x, v
+    if best_x < 0:
+        return NO_DECISION
+    return MatchDecision(
+        partner=state.pop_oldest_available(best_x),
+        attempts=(),
+        order=(),
+        pre_evaluated=(),
+    )

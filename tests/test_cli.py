@@ -264,3 +264,66 @@ class TestDiagnose:
         code = main(["diagnose", "--instance", one_type_file, "--seed", "9",
                      "--horizon", "100", "--out", str(tmp_path / "d")])
         assert code == 1
+
+
+class TestFlags:
+    """Each command offers only the flags it reads; argparse rejects the
+    rest with exit 2 instead of running without them."""
+
+    @pytest.mark.parametrize("command, flag", [
+        ("diagnose", ["--policy", "greedy"]),
+        ("diagnose", ["--clear-period", "3"]),
+        ("diagnose", ["--exact-threshold", "5"]),
+        ("diagnose", ["--burn-in", "10"]),
+        ("simulate", ["--exact-threshold", "5"]),
+    ])
+    def test_unread_flag_exit_two(self, command, flag, two_type_file, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            main([command, "--instance", two_type_file, "--seed", "1",
+                  "--horizon", "10000", "--out", str(tmp_path / "x"), *flag])
+        assert err.value.code == 2
+        assert not (tmp_path / "x").exists()
+
+    def test_config_keeps_keys_other_commands_read(self, one_type_file, tmp_path):
+        # one config drives several commands, so diagnose takes a file
+        # that names policies and a clearing period
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "instance": one_type_file, "seed": 9, "horizon": 12000.0,
+            "burn_in": 10.0, "policies": ["greedy"], "clear_period": 3.0,
+            "exact_threshold": 5, "out": str(tmp_path / "diag"),
+        }))
+        assert main(["diagnose", "--config", str(cfg_path)]) == 0
+
+
+class TestConfigTypes:
+    @pytest.mark.parametrize("field, value", [
+        ("replications", "3"),
+        ("replications", 2.5),
+        ("replications", True),
+        ("seed", "x"),
+        ("hindsight_horizons", 5),
+        ("hindsight_horizons", [5, "10"]),
+        ("horizon", False),
+        ("with_diagnostics", 1),
+        ("instance", 3),
+    ])
+    def test_wrong_json_type_exit_two(self, field, value, two_type_file, tmp_path,
+                                      capsys):
+        cfg = {"instance": two_type_file, "seed": 1, "horizon": 200.0,
+               "out": str(tmp_path / "cmp"), field: value}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["compare", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and field in err[0]
+
+    def test_wrong_policy_field_type_exit_two(self, two_type_file, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "instance": two_type_file, "seed": 1, "horizon": 200.0,
+            "out": str(tmp_path / "cmp"),
+            "policies": [{"kind": "online_match", "gamma": "0.5"}],
+        }))
+        assert main(["compare", "--config", str(cfg_path)]) == 2
+        assert "policies[0]: gamma must be a number" in capsys.readouterr().err

@@ -1,7 +1,7 @@
 """The engine loop and the marker post-pass against event-at-a-time replays.
 
 The replays here decide one arrival at a time through the scalar step
-functions (policies.online_match_step, policies.greedy_step) over a plain
+functions (oracles.online_match_step, oracles.greedy_step) over a plain
 list of available agents, and count marker events the way an observer
 watching those decisions would: departures processed before same-time
 arrivals, a presence counter of its own. Periodic clearing is replayed by
@@ -24,19 +24,17 @@ from dynmatch import (
     attempt_probabilities,
     derive_seed,
     generate_population,
-    greedy_step,
     instrument_z_events,
-    online_match_step,
     run_simulation,
     simulate,
     solve_upper_bound,
 )
-from dynmatch.diagnostics import MarkerObserver
+from dynmatch.diagnostics import MarkerEvents, _event_counters
 from dynmatch.simulate import Population
 
 from golden.capture import counters_doc
 from helpers import make_instance
-from oracles import clearing_by_arrivals
+from oracles import clearing_by_arrivals, greedy_step, online_match_step
 
 
 class ListState:
@@ -98,7 +96,7 @@ def online_decider(instance, solution, gamma, seed):
 
 
 def replay_markers(instance, solution, gamma, pop, seed):
-    """A MarkerObserver filled event by event from the scalar replay."""
+    """The run's MarkerEvents, gathered event by event from the scalar replay."""
     n = instance.n_types
     _, decisions = replay(instance, pop, online_decider(instance, solution, gamma, seed))
     present = [0] * n
@@ -150,18 +148,23 @@ def replay_markers(instance, solution, gamma, pop, seed):
             transitions[y].append((t, present[y]))
     depart_until(pop.horizon)
 
-    obs = MarkerObserver(instance, solution, gamma, seed)
-    obs._idle = [np.array(v) for v in idle]
-    obs._inbound_real = [np.array(v) for v in inbound]
-    obs._sole_real = [np.array(v) for v in sole]
-    obs._transitions = [
-        (np.array([w for w, _ in tr]), np.array([c for _, c in tr])) for tr in transitions
-    ]
-    obs._first = {key: np.array(v) for key, v in first.items()}
-    obs._first_matched = {key: np.array(v, dtype=bool) for key, v in first_matched.items()}
-    obs._reached = {key: np.array(v) for key, v in reached.items()}
-    obs._horizon = pop.horizon
-    return obs
+    return MarkerEvents(
+        horizon=pop.horizon,
+        idle=tuple(np.array(v) for v in idle),
+        inbound=tuple(np.array(v) for v in inbound),
+        sole=tuple(np.array(v) for v in sole),
+        transitions=tuple(
+            (np.array([w for w, _ in tr]), np.array([c for _, c in tr])) for tr in transitions
+        ),
+        first={key: np.array(v) for key, v in first.items()},
+        first_matched={key: np.array(v, dtype=bool) for key, v in first_matched.items()},
+        reached={key: np.array(v) for key, v in reached.items()},
+    )
+
+
+def replay_counters(instance, solution, gamma, pop, seed, pair_match_counts):
+    markers = replay_markers(instance, solution, gamma, pop, seed)
+    return _event_counters(markers, instance, solution, gamma, seed, 20, pair_match_counts)
 
 
 def tied_instance(rng, n_types):
@@ -215,9 +218,7 @@ def test_marker_post_pass_matches_event_replay(seed):
         instance, solution, gamma, horizon=horizon, seed=seed
     )
     pop = generate_population(instance, horizon, seed)
-    expected = replay_markers(instance, solution, gamma, pop, seed).finish(
-        report.pair_match_counts
-    )
+    expected = replay_counters(instance, solution, gamma, pop, seed, report.pair_match_counts)
     assert counters_doc(counters) == counters_doc(expected)
 
 
@@ -261,9 +262,7 @@ def test_ties_follow_the_scalar_steps(seed, monkeypatch):
     counters, report = instrument_z_events(
         instance, solution, gamma, horizon=horizon, seed=seed
     )
-    expected = replay_markers(instance, solution, gamma, pop, seed).finish(
-        report.pair_match_counts
-    )
+    expected = replay_counters(instance, solution, gamma, pop, seed, report.pair_match_counts)
     assert counters_doc(counters) == counters_doc(expected)
 
 

@@ -1,8 +1,10 @@
 """Decision procedures: attempt probabilities, the random-order walk,
 greedy, and periodic clearing's pool matcher.
 
-State is faked with a plain list pool so these tests exercise only the
-policy logic; the engine's real state object is covered in test_simulate.
+The walk and greedy are tested on their scalar reference steps in
+tests/oracles.py, one arrival at a time; test_engine_reference checks the
+engine's walk loop against those steps. State is faked with a plain list
+pool so these tests exercise only the policy logic.
 """
 
 import math
@@ -21,9 +23,7 @@ from dynmatch import (
     Rng,
     SolveStatus,
     attempt_probabilities,
-    greedy_step,
     match_probability,
-    online_match_step,
     run_simulation,
     solve_upper_bound,
 )
@@ -31,11 +31,11 @@ from dynmatch import hindsight
 from dynmatch.hindsight import max_weight_pool
 
 from helpers import make_instance, one_type, random_instance
-from oracles import best_matching_by_enumeration
+from oracles import best_matching_by_enumeration, greedy_step, online_match_step
 
 
 class FakeState:
-    """Minimal pool satisfying the policy-facing state protocol."""
+    """Minimal pool offering what the scalar steps ask of the state."""
 
     def __init__(self, instance, agents=()):
         self.instance = instance

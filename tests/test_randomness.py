@@ -14,12 +14,12 @@ from hypothesis import strategies as st
 from dynmatch import (
     Rng,
     derive_seed,
-    merge_streams,
     sample_exponential,
     sample_homogeneous_stream,
     thin_stream,
 )
-from dynmatch.randomness import write_stream_csv
+
+from oracles import next_below, shuffle
 
 
 class TestRng:
@@ -60,23 +60,23 @@ class TestRng:
     def test_next_below_range_and_modulo_rule(self):
         a, b = Rng(3), Rng(3)
         raws = [b.next_uint64() for _ in range(100)]
-        vals = [a.next_below(7) for _ in range(100)]
+        vals = [next_below(a, 7) for _ in range(100)]
         assert vals == [r % 7 for r in raws]
         assert all(0 <= v < 7 for v in vals)
 
     def test_next_below_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            Rng(0).next_below(0)
+            next_below(Rng(0), 0)
 
     def test_shuffle_is_a_permutation(self):
         rng = Rng(11)
         seq = list(range(10))
-        rng.shuffle(seq)
+        shuffle(rng, seq)
         assert sorted(seq) == list(range(10))
 
     def test_shuffle_consumes_n_minus_1_draws(self):
         a, b = Rng(8), Rng(8)
-        a.shuffle(list(range(6)))
+        shuffle(a, list(range(6)))
         b.advance(5)
         assert a.uniform() == b.uniform()
 
@@ -87,7 +87,7 @@ class TestRng:
         trials = 60_000
         for _ in range(trials):
             seq = [0, 1, 2]
-            rng.shuffle(seq)
+            shuffle(rng, seq)
             key = tuple(seq)
             counts[key] = counts.get(key, 0) + 1
         assert len(counts) == 6
@@ -161,21 +161,6 @@ class TestStreams:
             with pytest.raises(ValueError):
                 sample_exponential(rate, Rng(0))
 
-    def test_merge_is_sorted_union_with_tags(self):
-        a = sample_homogeneous_stream(1.0, 50.0, Rng(1), label="a")
-        b = sample_homogeneous_stream(3.0, 50.0, Rng(2), label="b")
-        merged = merge_streams([a, b])
-        assert len(merged) == len(a) + len(b)
-        times = [t for t, _ in merged]
-        assert times == sorted(times)
-        assert sum(1 for _, i in merged if i == 0) == len(a)
-
-    def test_merge_rejects_unsorted(self):
-        from dynmatch.randomness import EventStream
-
-        with pytest.raises(ValueError):
-            merge_streams([EventStream(times=(2.0, 1.0))])
-
     def test_thinning_extremes_exact(self):
         s = sample_homogeneous_stream(1.0, 200.0, Rng(6))
         assert thin_stream(s, 0.0, Rng(1)).times == ()
@@ -199,16 +184,6 @@ class TestStreams:
         s = sample_homogeneous_stream(1.0, 10.0, Rng(2))
         with pytest.raises(ValueError):
             thin_stream(s, 1.5, Rng(0))
-
-    def test_stream_csv_round_numbers(self, tmp_path):
-        s = sample_homogeneous_stream(1.0, 20.0, Rng(77), label="arrivals")
-        p = tmp_path / "s.csv"
-        write_stream_csv(s, p)
-        lines = p.read_text().strip().split("\n")
-        assert lines[0] == "time,label"
-        assert len(lines) == len(s) + 1
-        assert float(lines[1].split(",")[0]) == s.times[0]
-
 
 @settings(max_examples=40, deadline=None)
 @given(
