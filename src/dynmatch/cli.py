@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagnostics import check_rate_bounds, instrument_z_events, merge_counters
-from .hindsight import MatchingTooLargeError, hindsight_value_estimate
+from .diagnostics import MIN_BOUND_HORIZON, check_rate_bounds, instrument_z_events, merge_counters
+from .hindsight import MatchingTooLargeError, check_estimate_settings, hindsight_value_estimate
 from .lp import (
     FeasibilityReport,
     LinearProgram,
@@ -47,8 +47,10 @@ from .simulate import run_simulation, write_trace_csv
 NOT_APPLICABLE = "NOT_APPLICABLE"
 
 
-# a config field's required JSON type: (what it must be, the check)
-_NUMBER = ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool))
+# a config field's required JSON type: (what it must be, the check); a
+# number is finite, though json.load accepts NaN and Infinity
+_NUMBER = ("a number", lambda v: not isinstance(v, bool) and (
+    isinstance(v, int) or isinstance(v, float) and math.isfinite(v)))
 _INTEGER = ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
 _STRING = ("a string", lambda v: isinstance(v, str))
 _CONFIG_FIELDS = {
@@ -167,31 +169,16 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
     if getattr(args, "config", None):
         for key, value in _load_config_file(args.config).items():
             setattr(cfg, key, value)
-    overrides = [
-        ("instance", "instance"),
-        ("horizon", "horizon"),
-        ("burn_in", "burn_in"),
-        ("replications", "replications"),
-        ("seed", "seed"),
-        ("gamma", "gamma"),
-        ("out", "out"),
-        ("clear_period", "clear_period"),
-        ("exact_threshold", "exact_threshold"),
-        ("hindsight_replications", "hindsight_replications"),
-    ]
-    for attr, flag in overrides:
-        value = getattr(args, flag, None)
+    overrides = ("instance", "horizon", "burn_in", "replications", "seed", "gamma", "out",
+                 "clear_period", "exact_threshold", "hindsight_replications")
+    for name in overrides:
+        value = getattr(args, name, None)
         if value is not None:
-            setattr(cfg, attr, value)
+            setattr(cfg, name, value)
     if getattr(args, "policy", None):
         cfg.policies = [{"kind": k} for k in args.policy]
     if getattr(args, "hindsight_horizons", None):
-        try:
-            cfg.hindsight_horizons = [
-                float(h) for h in args.hindsight_horizons.split(",") if h
-            ]
-        except ValueError as e:
-            raise ConfigError(f"bad --hindsight-horizons: {e}") from e
+        cfg.hindsight_horizons = args.hindsight_horizons
     if getattr(args, "with_diagnostics", False):
         cfg.with_diagnostics = True
     if cfg.replications < 1:
@@ -360,9 +347,16 @@ def cmd_compare(args: argparse.Namespace) -> int:
     cfg.require("instance", "seed", "horizon", "out")
     instance = _load_checked_instance(cfg.instance)
     policies = cfg.built_policies(default_kinds=["online_match", "greedy"])
+    horizon = float(cfg.horizon)
+    for h in cfg.hindsight_horizons:
+        check_estimate_settings(h, cfg.hindsight_replications)
+    online = [p for p in policies if p.kind is PolicyKind.ONLINE_MATCH]
+    if cfg.with_diagnostics and not online:
+        raise DomainError("--with-diagnostics needs an online_match policy")
+    if cfg.with_diagnostics and horizon < MIN_BOUND_HORIZON:
+        raise DomainError("--with-diagnostics needs horizon >= 1e4")
     _, solution, _ = _solve_or_fail(instance)
     lp_value = solution.value
-    horizon = float(cfg.horizon)
     burn_in = cfg.burn_in if cfg.burn_in is not None else horizon / 100.0
     os.makedirs(cfg.out, exist_ok=True)
 
@@ -411,11 +405,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
     diagnostics_block = None
     bounds_ok = True
     if cfg.with_diagnostics:
-        online = [p for p in policies if p.kind is PolicyKind.ONLINE_MATCH]
-        if not online:
-            raise DomainError("--with-diagnostics needs an online_match policy")
-        if horizon < 1e4:
-            raise DomainError("--with-diagnostics needs horizon >= 1e4")
         counters, _ = instrument_z_events(
             instance,
             solution,
@@ -455,9 +444,11 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     cfg = build_config(args)
     cfg.require("instance", "seed", "horizon", "out")
     instance = _load_checked_instance(cfg.instance)
+    horizon = float(cfg.horizon)
+    if horizon < MIN_BOUND_HORIZON:
+        raise DomainError("rate bounds need a horizon of at least 1e4")
     _, solution, _ = _solve_or_fail(instance)
     lp_value = solution.value
-    horizon = float(cfg.horizon)
     os.makedirs(cfg.out, exist_ok=True)
 
     rep_seeds = [derive_seed(cfg.seed, r) for r in range(cfg.replications)]
@@ -498,6 +489,17 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
 # parser
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of the float flags: a number other than nan and +-inf."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _add_experiment_flags(
     p: argparse.ArgumentParser, *, policies: bool = False, compare_extras: bool = False
 ):
@@ -505,23 +507,24 @@ def _add_experiment_flags(
     p.add_argument("--config", help="JSON experiment config; flags override it")
     p.add_argument("--instance", help="market instance JSON file")
     p.add_argument("--seed", type=int, help="master seed")
-    p.add_argument("--horizon", type=float, help="simulated time span")
-    p.add_argument("--gamma", type=float,
+    p.add_argument("--horizon", type=_finite_float, help="simulated time span")
+    p.add_argument("--gamma", type=_finite_float,
                    help="attempt-scaling parameter in (0, 1] (default 0.5)")
     p.add_argument("--replications", type=int, help="independent runs (default 1)")
     p.add_argument("--out", help="output directory")
     if policies:
-        p.add_argument("--burn-in", dest="burn_in", type=float,
+        p.add_argument("--burn-in", dest="burn_in", type=_finite_float,
                        help="warmup span excluded from statistics (default horizon/100)")
         p.add_argument("--policy", action="append",
                        choices=[k.value for k in PolicyKind],
                        help="policy to run; repeatable")
-        p.add_argument("--clear-period", dest="clear_period", type=float,
+        p.add_argument("--clear-period", dest="clear_period", type=_finite_float,
                        help="period for periodic_clear")
     if compare_extras:
         p.add_argument("--exact-threshold", dest="exact_threshold", type=int,
                        help="max component size for the exact matcher (default 20)")
         p.add_argument("--hindsight-horizons", dest="hindsight_horizons",
+                       type=lambda text: [_finite_float(h) for h in text.split(",") if h],
                        help="comma-separated horizon ladder for the hindsight benchmark")
         p.add_argument("--hindsight-replications", dest="hindsight_replications",
                        type=int, help="replications per hindsight horizon (default 50)")

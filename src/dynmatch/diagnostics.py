@@ -60,6 +60,8 @@ INCONCLUSIVE = "INCONCLUSIVE"
 # expected events before 3 SE means anything
 _EQUALITY_MIN_EVENTS = 3600.0
 _FLOOR_MIN_EVENTS = 25.0
+# the shortest horizon check_rate_bounds accepts
+MIN_BOUND_HORIZON = 1e4
 
 
 @dataclass(frozen=True)
@@ -266,10 +268,8 @@ def _event_counters(
         edges = np.concatenate(([0.0], change_times))
         count = np.concatenate(([0], change_counts))
         base = derive_seed(seed, "diag", x)
-        inbound_clock = np.array(
-            sample_homogeneous_stream(
-                inbound_rate, horizon, Rng(derive_seed(base, "inbound"))
-            ).times
+        inbound_clock = sample_homogeneous_stream(
+            inbound_rate, horizon, Rng(derive_seed(base, "inbound"))
         )
         seg = np.searchsorted(edges, inbound_clock, side="right") - 1
         inbound_clock = inbound_clock[count[seg] == 0]
@@ -281,10 +281,8 @@ def _event_counters(
             waiting_frac.append(0.0)
             waiting_batches.append(np.zeros(batch_count))
             continue
-        sole_clock = np.array(
-            sample_homogeneous_stream(
-                sole_rate, horizon, Rng(derive_seed(base, "departure"))
-            ).times
+        sole_clock = sample_homogeneous_stream(
+            sole_rate, horizon, Rng(derive_seed(base, "departure"))
         )
         seg = np.searchsorted(edges, sole_clock, side="right") - 1
         sole_clock = sole_clock[count[seg] != 1]
@@ -561,7 +559,7 @@ def check_rate_bounds(
     Rows whose expected event count is too small to decide are likewise
     INCONCLUSIVE rather than pass/fail.
     """
-    if counters.horizon < 1e4:
+    if counters.horizon < MIN_BOUND_HORIZON:
         raise ValueError("rate bounds need a horizon of at least 1e4")
     if counters.gamma != gamma:
         raise ValueError(

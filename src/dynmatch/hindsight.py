@@ -31,37 +31,34 @@ import numpy as np
 
 from .market import AgentId, MarketInstance, validate_instance
 from .randomness import derive_seed
-from .simulate import EventTrace, Population, generate_population
+from .simulate import EventTrace, generate_population
 
 
 class MatchingTooLargeError(RuntimeError):
     """A component exceeds the exact matcher's size threshold or state budget."""
 
 
-@dataclass(frozen=True)
-class GraphNode:
-    agent: AgentId
-    arrival: float
-    departure: float  # +inf when the agent outlives the recorded horizon
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompatibilityGraph:
     """Agents of one run with pairwise matchability edges.
 
-    Nodes are sorted by (arrival, type, serial). edges[k] = (i, j) with
-    i < j indexes into nodes; weights[k] is the pair's match value,
-    strictly positive by construction.
+    Node columns, in (arrival, type, serial) order: types, serials,
+    arrival and departure (+inf when the agent outlives the recorded
+    horizon). edges is (m, 2) int64, rows (i, j) with i < j in
+    lexicographic order; weights are the (m,) match values, all positive.
     """
 
-    nodes: tuple[GraphNode, ...]
-    edges: tuple[tuple[int, int], ...]
-    weights: tuple[float, ...]
+    types: np.ndarray
+    serials: np.ndarray
+    arrival: np.ndarray
+    departure: np.ndarray
+    edges: np.ndarray
+    weights: np.ndarray
     horizon: float
 
     @property
     def n_nodes(self) -> int:
-        return len(self.nodes)
+        return len(self.types)
 
     @property
     def n_edges(self) -> int:
@@ -76,7 +73,7 @@ def _build_graph(
     instance: MarketInstance,
     horizon: float,
 ) -> CompatibilityGraph:
-    """One node per agent, sorted by (arrival, type, serial), and every
+    """Node columns sorted by (arrival, type, serial), and every
     positive-value edge (i, j), i < j, in lexicographic order.
 
     With arrivals ascending, the [a, d) windows of i < j overlap iff
@@ -95,17 +92,8 @@ def _build_graph(
     k = instance.n_types
     w = np.array(instance.values.dense(), dtype=float).reshape(k, k)[t[i], t[j]]
     keep = ((a[j] < d[i]) | ((a[j] == a[i]) & (a[i] < d[j]))) & (w > 0.0)
-    i, j, w = i[keep], j[keep], w[keep]
-    nodes = tuple(
-        GraphNode(AgentId(x, s), ax, dx)
-        for x, s, ax, dx in zip(t.tolist(), serials[order].tolist(), a.tolist(), d.tolist())
-    )
-    return CompatibilityGraph(
-        nodes=nodes,
-        edges=tuple(zip(i.tolist(), j.tolist())),
-        weights=tuple(w.tolist()),
-        horizon=horizon,
-    )
+    edges = np.stack((i[keep], j[keep]), axis=1)
+    return CompatibilityGraph(t, serials[order], a, d, edges, w[keep], horizon)
 
 
 def build_compatibility_graph(
@@ -118,17 +106,11 @@ def build_compatibility_graph(
     horizon; its window is treated as unbounded, which yields exactly the
     right edges because every other arrival falls inside [0, horizon].
     """
-    if not trace.complete:
-        raise ValueError("compatibility graph needs a recorded trace")
     types, serials, arrivals, departures, orphans = trace.lifetimes()
     if len(orphans):
         agent = AgentId(int(trace.a_type[orphans[0]]), int(trace.a_serial[orphans[0]]))
         raise ValueError(f"trace missing lifetime data: {agent.text()} never arrives")
     return _build_graph(types, serials, arrivals, departures, instance, trace.horizon)
-
-
-def _graph_from_population(pop: Population, instance: MarketInstance) -> CompatibilityGraph:
-    return _build_graph(*pop.agents(), instance, pop.horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +231,7 @@ def max_weight_matching_exact(
     component, since disconnected parts decompose exactly. A component
     larger than exact_threshold raises MatchingTooLargeError.
     """
-    edges = [(i, j, w) for (i, j), w in zip(graph.edges, graph.weights)]
+    edges = [(i, j, w) for (i, j), w in zip(graph.edges.tolist(), graph.weights.tolist())]
     matching: set[tuple[int, int]] = set()
     total = 0.0
     for comp, neighbor_mask, weight in _component_problems(graph.n_nodes, edges):
@@ -357,6 +339,15 @@ def _count_matching(
 # Monte Carlo estimate
 
 
+def check_estimate_settings(horizon: float, replications: int) -> None:
+    """Raise ValueError unless hindsight_value_estimate can run at this
+    horizon and replication count; callers check before their first run."""
+    if horizon <= 0:
+        raise ValueError("horizon must be positive")
+    if replications < 2:
+        raise ValueError("need at least 2 replications for a standard error")
+
+
 def hindsight_value_estimate(
     instance: MarketInstance,
     horizon: float,
@@ -375,14 +366,11 @@ def hindsight_value_estimate(
     violations = validate_instance(instance)
     if violations:
         raise ValueError("invalid instance: " + "; ".join(v.code for v in violations))
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    if replications < 2:
-        raise ValueError("need at least 2 replications for a standard error")
+    check_estimate_settings(horizon, replications)
     per_time = np.empty(replications)
     for r in range(replications):
         pop = generate_population(instance, horizon, derive_seed(seed, r))
-        graph = _graph_from_population(pop, instance)
+        graph = _build_graph(*pop.agents(), instance, pop.horizon)
         _, value = max_weight_matching_exact(graph, exact_threshold)
         per_time[r] = value / horizon
     mean = float(per_time.mean())

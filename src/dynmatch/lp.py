@@ -238,10 +238,6 @@ class FeasibilityReport:
     def ok(self) -> bool:
         return self.worst_violation <= self.tolerance
 
-    @property
-    def violated(self) -> list[ConstraintSlack]:
-        return [s for s in self.slacks if s.slack < -self.tolerance]
-
 
 def check_feasibility(
     instance: MarketInstance,

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -124,21 +123,6 @@ class Rng:
         self.counter += count
 
 
-@dataclass(frozen=True)
-class EventStream:
-    """A finite realization of a point process on (0, horizon].
-
-    times are nondecreasing; equal consecutive times can only come from the
-    measure-zero u == 1.0 draw and are tolerated rather than outlawed.
-    """
-
-    times: tuple[float, ...]
-    label: str = ""
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-
 def sample_exponential(rate: float, rng: Rng) -> float:
     """One inverse-CDF exponential draw, -log(u)/rate with u in (0, 1]."""
     if not (rate > 0.0) or math.isinf(rate):
@@ -146,10 +130,10 @@ def sample_exponential(rate: float, rng: Rng) -> float:
     return -math.log(rng.uniform()) / rate
 
 
-def sample_homogeneous_stream(
-    rate: float, horizon: float, rng: Rng, label: str = ""
-) -> EventStream:
-    """Poisson process of the given rate on (0, horizon].
+def sample_homogeneous_stream(rate: float, horizon: float, rng: Rng) -> np.ndarray:
+    """Poisson process of the given rate on (0, horizon], as a float64
+    array of nondecreasing event times (equal consecutive times can only
+    come from the measure-zero u == 1.0 draw and are tolerated).
 
     Consumes exactly (number of events + 1) draws: one per inter-event gap
     plus the gap that overshoots the horizon, independent of internal block
@@ -161,8 +145,8 @@ def sample_homogeneous_stream(
     if horizon < 0.0:
         raise ValueError("horizon must be nonnegative")
     if rate == 0.0:
-        return EventStream(times=(), label=label)
-    times: list[float] = []
+        return np.empty(0)
+    parts: list[np.ndarray] = []
     t = 0.0
     expected = rate * horizon
     chunk = max(16, int(expected + 4.0 * math.sqrt(expected + 1.0)) + 16)
@@ -172,32 +156,30 @@ def sample_homogeneous_stream(
         keep = int(np.searchsorted(cum, horizon, side="right"))
         if keep < chunk:
             rng.advance(keep + 1)  # kept gaps plus the overshoot draw
-            times.extend(cum[:keep].tolist())
-            return EventStream(times=tuple(times), label=label)
+            parts.append(cum[:keep])
+            return np.concatenate(parts)
         rng.advance(chunk)
-        times.extend(cum.tolist())
+        parts.append(cum)
         t = float(cum[-1])
         chunk = max(16, chunk // 2)
 
 
 def thin_stream(
-    stream: EventStream,
+    times: np.ndarray,
     keep_probability: float | Callable[[float], float],
     rng: Rng,
-) -> EventStream:
-    """Keep each event independently with probability p(t); one draw per event.
+) -> np.ndarray:
+    """The times kept when each event is kept independently with
+    probability p(t); one draw per event.
 
     An event at time t survives iff uniform() <= p(t), so p == 0 removes
     everything and p == 1 keeps everything, exactly.
     """
-    times = stream.times
     if callable(keep_probability):
-        probs = [float(keep_probability(t)) for t in times]
+        probs = np.array([float(keep_probability(t)) for t in times.tolist()])
     else:
-        probs = [float(keep_probability)] * len(times)
-    for p in probs:
-        if not (0.0 <= p <= 1.0):
-            raise ValueError(f"keep probability {p} outside [0, 1]")
-    u = rng.uniform_block(len(times)) if times else np.empty(0)
-    kept = tuple(t for t, p, ui in zip(times, probs, u.tolist()) if ui <= p)
-    return EventStream(times=kept, label=stream.label)
+        probs = np.full(len(times), float(keep_probability))
+    bad = ~((probs >= 0.0) & (probs <= 1.0))
+    if bad.any():
+        raise ValueError(f"keep probability {probs[bad][0].item()} outside [0, 1]")
+    return times[rng.uniform_block(len(times)) <= probs]

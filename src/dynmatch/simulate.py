@@ -129,7 +129,6 @@ class EventTrace:
     horizon: float
     burn_in: float
     seed: int
-    complete: bool = True  # False when the run skipped event recording
 
     @property
     def events(self) -> "EventRows":
@@ -282,8 +281,7 @@ def generate_population(
     arrs: list[np.ndarray] = []
     deps: list[np.ndarray] = []
     for t in instance.types:
-        stream = sample_homogeneous_stream(t.arrival_rate, horizon, rng, label=t.label)
-        arr = np.array(stream.times, dtype=np.float64)
+        arr = sample_homogeneous_stream(t.arrival_rate, horizon, rng)
         if t.impatient or len(arr) == 0:
             dep = arr.copy()
         else:
@@ -443,12 +441,12 @@ def run_simulation(
     burn_in: float | None = None,
     seed: int,
     record_trace: bool = True,
-) -> tuple[EventTrace, SimulationReport]:
+) -> tuple[EventTrace | None, SimulationReport]:
     """Simulate one run and summarize it.
 
     burn_in defaults to horizon/100. A zero horizon is a valid degenerate
     run (empty trace, zero report). The random-order policy requires an LP
-    solution.
+    solution. With record_trace=False the trace comes back as None.
     """
     burn_in = _checked_burn_in(instance, policy, solution, horizon, burn_in)
     pop = generate_population(instance, horizon, seed)
@@ -661,7 +659,7 @@ def _build_outputs(
     burn_in: float,
     seed: int,
     record_trace: bool,
-) -> tuple[EventTrace, SimulationReport]:
+) -> tuple[EventTrace | None, SimulationReport]:
     n = instance.n_types
     records = sorted(records)  # no two records share (time, a, b)
 
@@ -693,8 +691,7 @@ def _build_outputs(
     )
 
     if not record_trace:
-        no_rows = [np.zeros(0)] * 8
-        return _trace_of_rows(*no_rows, horizon, burn_in, seed, complete=False), report
+        return None, report
 
     # one row per arrival, per departure up to the horizon, per match
     types, serials, arr, dep = pop.agents()
@@ -713,14 +710,14 @@ def _build_outputs(
         np.concatenate((np.zeros(len(arr) + n_dep), rec[:, 5])),
         np.concatenate((np.zeros(len(arr), dtype=bool), flags[leaving],
                         np.zeros(len(rec), dtype=bool))),
-        horizon, burn_in, seed, complete=True,
+        horizon, burn_in, seed,
     )
     return trace, report
 
 
 def _trace_of_rows(
     time, kind, a_type, a_serial, b_type, b_serial, value, matched,
-    horizon: float, burn_in: float, seed: int, complete: bool,
+    horizon: float, burn_in: float, seed: int,
 ) -> EventTrace:
     """A trace of the given rows, typed and sorted into trace order."""
     order = np.lexsort((b_serial, b_type, a_serial, a_type, kind, time))
@@ -736,7 +733,6 @@ def _trace_of_rows(
         horizon=horizon,
         burn_in=burn_in,
         seed=seed,
-        complete=complete,
     )
 
 
@@ -764,8 +760,6 @@ def presence_frequency(
     """Fraction of post-burn-in time with at least one type_id agent
     present, reading presence intervals (arrival to shadow departure) off
     the trace. Agents without a departure row are alive past the horizon."""
-    if not trace.complete:
-        raise ValueError("presence needs a recorded trace")
     if not 0 <= type_id < instance.n_types:
         raise IndexError(f"no type {type_id}")
     window = trace.horizon - trace.burn_in
@@ -793,8 +787,6 @@ def replay_check(trace: EventTrace, instance: MarketInstance) -> list[str]:
     earlier step in sorted (agent, position) keys. Violations come out in
     walk order, after a first pass that finds repeated departures.
     """
-    if not trace.complete:
-        raise ValueError("replay needs a recorded trace")
     t = trace.time
     n = len(t)
     mat = np.flatnonzero(trace.kind == MATCH)
@@ -856,8 +848,6 @@ _COLUMNS = "time,event,agent_a,agent_b,value"
 def write_trace_csv(trace: EventTrace, path: str, policy: str = "") -> None:
     """Persist a trace with a versioned header comment line; floats are
     written with repr so a rewrite of the same trace is byte-identical."""
-    if not trace.complete:
-        raise ValueError("cannot persist a trace that skipped event recording")
     # a row is six pieces: time, ",kind,", a_type, ":", a_serial, and
     # ",b_type:b_serial,value" or ",," before the newline; object arrays of
     # strings add elementwise
@@ -945,7 +935,6 @@ def read_trace_csv(path: str) -> tuple[EventTrace, dict]:
         horizon=float(meta["horizon"]),
         burn_in=float(meta["burn_in"]),
         seed=int(meta["seed"]),
-        complete=True,
     )
     return trace, meta
 

@@ -353,28 +353,30 @@ def windows_overlap(ai: float, di: float, aj: float, dj: float) -> bool:
     return (aj <= ai < dj) or (ai <= aj < di)
 
 
-def graph_edges_by_walk(nodes, instance):
-    """Edges and weights of the compatibility graph over nodes sorted by
-    arrival, by walking node pairs the way the package did before it
-    enumerated candidates with searchsorted."""
+def graph_edges_by_walk(types, arrivals, departures, instance):
+    """Edges and weights of the compatibility graph over node columns
+    sorted by arrival, as lists of (i, j) pairs and floats, by walking
+    node pairs the way the package did before it enumerated candidates
+    with searchsorted."""
     values = instance.values
-    edges: list[tuple[int, int]] = []
+    types, arrivals, departures = types.tolist(), arrivals.tolist(), departures.tolist()
+    edges: list[list[int]] = []
     weights: list[float] = []
-    n = len(nodes)
+    n = len(types)
     for i in range(n):
-        ai = nodes[i].arrival
-        di = nodes[i].departure
+        ai = arrivals[i]
+        di = departures[i]
         for j in range(i + 1, n):
-            aj = nodes[j].arrival
+            aj = arrivals[j]
             if aj > ai and aj >= di:
                 break  # arrivals ascend, so no later j overlaps i either
-            if not windows_overlap(ai, di, aj, nodes[j].departure):
+            if not windows_overlap(ai, di, aj, departures[j]):
                 continue
-            v = values.get(nodes[i].agent.type_id, nodes[j].agent.type_id)
+            v = values.get(types[i], types[j])
             if v > 0.0:
-                edges.append((i, j))
+                edges.append([i, j])
                 weights.append(v)
-    return tuple(edges), tuple(weights)
+    return edges, weights
 
 
 def replay_check_by_walk(events, instance) -> list[str]:

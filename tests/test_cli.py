@@ -1,6 +1,7 @@
 """Command-line contract: exit codes, file outputs, config handling."""
 
 import json
+import math
 import random
 import re
 
@@ -247,6 +248,28 @@ class TestCompare:
         assert code == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["compare", "--horizon", "200", "--hindsight-horizons", "5",
+      "--hindsight-replications", "0"], "need at least 2 replications"),
+    (["compare", "--horizon", "200", "--hindsight-horizons", "0,5"],
+     "horizon must be positive"),
+    (["compare", "--horizon", "500", "--with-diagnostics", "--hindsight-horizons", "5"],
+     "--with-diagnostics needs horizon >= 1e4"),
+    (["compare", "--horizon", "20000", "--policy", "greedy", "--with-diagnostics"],
+     "--with-diagnostics needs an online_match policy"),
+    (["diagnose", "--horizon", "500", "--replications", "3"],
+     "rate bounds need a horizon of at least 1e4"),
+])
+def test_run_settings_fail_before_any_run(argv, message, two_type_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main([*argv, "--instance", two_type_file, "--seed", "1", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert message in captured.err
+    assert captured.out == ""  # no policy line, no diagnostics line
+    assert not out.exists()
+
+
 class TestDiagnose:
     def test_healthy_run_exit_zero(self, one_type_file, tmp_path, capsys):
         out = tmp_path / "diag"
@@ -284,6 +307,25 @@ class TestFlags:
         assert err.value.code == 2
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("compare", "--horizon", "nan"),
+        ("compare", "--horizon", "inf"),
+        ("simulate", "--horizon", "-inf"),
+        ("simulate", "--burn-in", "nan"),
+        ("compare", "--gamma", "inf"),
+        ("simulate", "--clear-period", "inf"),
+        ("compare", "--hindsight-horizons", "5,nan"),
+    ])
+    def test_non_finite_flag_exit_two(self, command, flag, value, two_type_file, tmp_path,
+                                      capsys):
+        with pytest.raises(SystemExit) as err:
+            main([command, "--instance", two_type_file, "--seed", "1", "--horizon", "100",
+                  "--policy", "periodic_clear", "--out", str(tmp_path / "x"),
+                  f"{flag}={value}"])
+        assert err.value.code == 2
+        assert f"argument {flag}: must be a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_config_keeps_keys_other_commands_read(self, one_type_file, tmp_path):
         # one config drives several commands, so diagnose takes a file
         # that names policies and a clearing period
@@ -305,6 +347,12 @@ class TestConfigTypes:
         ("hindsight_horizons", 5),
         ("hindsight_horizons", [5, "10"]),
         ("horizon", False),
+        ("horizon", math.nan),
+        ("horizon", math.inf),
+        ("burn_in", -math.inf),
+        ("gamma", math.nan),
+        ("clear_period", math.inf),
+        ("hindsight_horizons", [5, math.nan]),
         ("with_diagnostics", 1),
         ("instance", 3),
     ])
@@ -327,3 +375,18 @@ class TestConfigTypes:
         }))
         assert main(["compare", "--config", str(cfg_path)]) == 2
         assert "policies[0]: gamma must be a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", [
+        {"kind": "online_match", "gamma": math.nan},
+        {"kind": "periodic_clear", "clear_period": math.inf},
+    ])
+    def test_non_finite_policy_field_exit_two(self, entry, two_type_file, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "instance": two_type_file, "seed": 1, "horizon": 200.0,
+            "out": str(tmp_path / "cmp"), "policies": [entry],
+        }))
+        assert main(["compare", "--config", str(cfg_path)]) == 2
+        field = next(k for k in entry if k != "kind")
+        assert f"policies[0]: {field} must be a number" in capsys.readouterr().err
+        assert not (tmp_path / "cmp").exists()

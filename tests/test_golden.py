@@ -12,7 +12,8 @@ import os
 
 import pytest
 
-from golden.capture import counter_case, policy_case
+from dynmatch import PolicyConfig, PolicyKind, parse_instance, run_simulation, solve_upper_bound
+from golden.capture import MARKETS, POLICIES, POLICY_RUNS, counter_case, policy_case
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -44,3 +45,18 @@ def test_report_and_trace_match_golden(case):
     got = policy_case(case["market"], case["horizon"], case["seed"], case["policy"])
     assert got["report"] == case["report"]
     assert got["trace_csv"] == case["trace_csv"]
+
+
+@pytest.mark.parametrize("market, horizon, seed", POLICY_RUNS)
+@pytest.mark.parametrize("policy", POLICIES + [{"kind": "no_op"}],
+                         ids=lambda p: "-".join(map(str, p.values())))
+def test_untraced_run_returns_no_trace_and_the_same_report(market, horizon, seed, policy):
+    instance = parse_instance(json.dumps(MARKETS[market]))
+    pol = PolicyConfig(**policy)
+    sol = solve_upper_bound(instance) if pol.kind is PolicyKind.ONLINE_MATCH else None
+    traced, report = run_simulation(instance, pol, sol, horizon=horizon, seed=seed)
+    untraced, plain = run_simulation(
+        instance, pol, sol, horizon=horizon, seed=seed, record_trace=False
+    )
+    assert traced is not None and untraced is None
+    assert plain.to_dict() == report.to_dict()

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from dynmatch import (
-    AgentId,
     MatchingTooLargeError,
     PolicyConfig,
     PolicyKind,
@@ -25,7 +24,6 @@ from dynmatch import (
 )
 from dynmatch.hindsight import (
     CompatibilityGraph,
-    GraphNode,
     _build_graph,
     max_weight_pool,
 )
@@ -42,14 +40,16 @@ from oracles import max_weight_pool as bitmask_pool
 
 def graph_of(windows, edge_values, horizon=100.0):
     """windows: list of (arrival, departure); edges keyed by node index."""
-    nodes = tuple(
-        GraphNode(agent=AgentId(0, k), arrival=a, departure=d)
-        for k, (a, d) in enumerate(windows)
-    )
-    edges = tuple(sorted(edge_values))
-    weights = tuple(edge_values[e] for e in edges)
+    n = len(windows)
+    edges = sorted(edge_values)
     return CompatibilityGraph(
-        nodes=nodes, edges=edges, weights=weights, horizon=horizon
+        types=np.zeros(n, dtype=np.int64),
+        serials=np.arange(n),
+        arrival=np.array([a for a, _ in windows], dtype=np.float64),
+        departure=np.array([d for _, d in windows], dtype=np.float64),
+        edges=np.array(edges, dtype=np.int64).reshape(-1, 2),
+        weights=np.array([edge_values[e] for e in edges], dtype=np.float64),
+        horizon=horizon,
     )
 
 
@@ -110,36 +110,46 @@ class TestGraphFromTrace:
 
         arrivals = [e for e in trace if isinstance(e, ArrivalEvent)]
         assert g.n_nodes == len(arrivals)
-        order = [(n.arrival, n.agent.type_id, n.agent.serial) for n in g.nodes]
+        order = list(zip(g.arrival.tolist(), g.types.tolist(), g.serials.tolist()))
         assert order == sorted(order)
 
     def test_edges_respect_overlap_and_value(self):
         inst, trace = self.trace_and_instance()
         g = build_compatibility_graph(trace, inst)
         assert g.n_edges > 0
-        for (i, j), w in zip(g.edges, g.weights):
-            ni, nj = g.nodes[i], g.nodes[j]
+        a, d, t = g.arrival.tolist(), g.departure.tolist(), g.types.tolist()
+        for (i, j), w in zip(g.edges.tolist(), g.weights.tolist()):
             assert i < j
-            assert windows_overlap(ni.arrival, ni.departure,
-                                   nj.arrival, nj.departure)
-            assert w == inst.values.get(ni.agent.type_id, nj.agent.type_id)
+            assert windows_overlap(a[i], d[i], a[j], d[j])
+            assert w == inst.values.get(t[i], t[j])
             assert w > 0.0
 
     def test_zero_value_pairs_never_become_edges(self):
         inst, trace = self.trace_and_instance()
         g = build_compatibility_graph(trace, inst)
-        for (i, j) in g.edges:
-            pair = {g.nodes[i].agent.type_id, g.nodes[j].agent.type_id}
-            assert pair != {1}  # v_bb = 0
+        for i, j in g.edges.tolist():
+            assert {int(g.types[i]), int(g.types[j])} != {1}  # v_bb = 0
 
-    def test_incomplete_trace_rejected(self):
-        inst = one_type()
-        trace, _ = run_simulation(
-            inst, PolicyConfig(kind=PolicyKind.NO_OP), None,
-            horizon=20.0, seed=1, record_trace=False,
-        )
-        with pytest.raises(ValueError):
-            build_compatibility_graph(trace, inst)
+    def test_array_layout(self):
+        inst, trace = self.trace_and_instance()
+        g = build_compatibility_graph(trace, inst)
+        m = g.n_edges
+        assert m > 0
+        assert g.edges.shape == (m, 2) and g.edges.dtype == np.int64
+        assert g.weights.shape == (m,) and g.weights.dtype == np.float64
+        assert (g.edges[:, 0] < g.edges[:, 1]).all()
+        rows = g.edges.tolist()
+        assert rows == sorted(rows)
+        for column in (g.types, g.serials, g.arrival, g.departure):
+            assert column.shape == (g.n_nodes,)
+
+    def test_edgeless_graph_layout(self):
+        # two agents of a type with no self value: nodes but no edges
+        g = _build_graph(np.array([0, 0]), np.array([0, 1]), np.array([0.0, 1.0]),
+                         np.array([5.0, 6.0]), make_instance([("a", 1.0, 1.0)], {}), 10.0)
+        assert g.n_nodes == 2 and g.n_edges == 0
+        assert g.edges.shape == (0, 2) and g.edges.dtype == np.int64
+        assert g.weights.shape == (0,) and g.weights.dtype == np.float64
 
 
 class TestEdgesAgreeWithPairWalk:
@@ -161,10 +171,10 @@ class TestEdgesAgreeWithPairWalk:
             for x in types.tolist()
         ])
         g = _build_graph(types, np.arange(n), arrivals, arrivals + stay, inst, 10.0)
-        edges, weights = graph_edges_by_walk(g.nodes, inst)
-        assert g.edges == edges
-        assert g.weights == weights
-        order = [(v.arrival, v.agent.type_id, v.agent.serial) for v in g.nodes]
+        edges, weights = graph_edges_by_walk(g.types, g.arrival, g.departure, inst)
+        assert g.edges.tolist() == edges
+        assert g.weights.tolist() == weights
+        order = list(zip(g.arrival.tolist(), g.types.tolist(), g.serials.tolist()))
         assert order == sorted(order)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -175,7 +185,8 @@ class TestEdgesAgreeWithPairWalk:
             inst, PolicyConfig(kind=PolicyKind.GREEDY), None, horizon=60.0, seed=seed
         )
         g = build_compatibility_graph(trace, inst)
-        assert (g.edges, g.weights) == graph_edges_by_walk(g.nodes, inst)
+        edges, weights = graph_edges_by_walk(g.types, g.arrival, g.departure, inst)
+        assert (g.edges.tolist(), g.weights.tolist()) == (edges, weights)
 
 
 class TestExactMatcher:

@@ -3,8 +3,10 @@
 The scalar decision steps, the stream merger and CSV dump, the LP tableau
 dump and the label lookup had no caller in the package, its scripts or
 its benchmark. The steps and the shuffle live on as references in
-tests/oracles.py; the rest is gone. A name added to or dropped from the
-surface changes this list on purpose.
+tests/oracles.py; the rest is gone. Streams and the hindsight graph are
+numpy columns with no wrapper objects, and a run without a trace returns
+None instead of a trace marked incomplete. A name added to or dropped
+from the surface changes this list on purpose.
 """
 
 import dataclasses
@@ -12,7 +14,7 @@ import dataclasses
 import pytest
 
 import dynmatch
-from dynmatch import diagnostics, lp, policies, randomness
+from dynmatch import diagnostics, hindsight, lp, policies, randomness, simulate
 
 PUBLIC = [
     "AgentId",
@@ -95,6 +97,9 @@ def test_every_public_name_resolves():
     (lp, "format_tableau"),
     (dynmatch.MarketInstance, "type_by_label"),
     (diagnostics, "MarkerObserver"),
+    (randomness, "EventStream"),
+    (hindsight, "GraphNode"),
+    (lp.FeasibilityReport, "violated"),
 ])
 def test_removed_name_is_gone(owner, name):
     assert not hasattr(owner, name)
@@ -104,3 +109,7 @@ def test_linear_program_has_no_labels_field():
     # a dataclass field without a default is no class attribute, so
     # hasattr cannot see it
     assert "labels" not in {f.name for f in dataclasses.fields(lp.LinearProgram)}
+
+
+def test_event_trace_has_no_complete_field():
+    assert "complete" not in {f.name for f in dataclasses.fields(simulate.EventTrace)}

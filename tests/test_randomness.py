@@ -119,8 +119,8 @@ class TestRng:
 
 class TestStreams:
     def test_sorted_within_horizon(self):
-        s = sample_homogeneous_stream(2.0, 100.0, Rng(1))
-        t = np.array(s.times)
+        t = sample_homogeneous_stream(2.0, 100.0, Rng(1))
+        assert t.dtype == np.float64
         assert (np.diff(t) >= 0).all()
         assert t[0] > 0.0 and t[-1] <= 100.0
 
@@ -132,9 +132,9 @@ class TestStreams:
     def test_chunking_invisible_to_the_draw_sequence(self):
         # identical seeds, wildly different horizons: the shared prefix of
         # event times must agree because the counter advances per gap used
-        long = sample_homogeneous_stream(1.0, 5000.0, Rng(9)).times
-        short = sample_homogeneous_stream(1.0, 50.0, Rng(9)).times
-        assert long[: len(short)] == short
+        long = sample_homogeneous_stream(1.0, 5000.0, Rng(9))
+        short = sample_homogeneous_stream(1.0, 50.0, Rng(9))
+        assert long[: len(short)].tolist() == short.tolist()
 
     def test_draw_budget_is_events_plus_one(self):
         rng = Rng(31)
@@ -163,8 +163,8 @@ class TestStreams:
 
     def test_thinning_extremes_exact(self):
         s = sample_homogeneous_stream(1.0, 200.0, Rng(6))
-        assert thin_stream(s, 0.0, Rng(1)).times == ()
-        assert thin_stream(s, 1.0, Rng(1)).times == s.times
+        assert len(thin_stream(s, 0.0, Rng(1))) == 0
+        assert thin_stream(s, 1.0, Rng(1)).tolist() == s.tolist()
 
     def test_thinning_rate(self):
         # keep-probability 0.3 of a rate-5 stream: expect ~0.3 of events
@@ -176,8 +176,8 @@ class TestStreams:
     def test_time_varying_thinning(self):
         s = sample_homogeneous_stream(4.0, 1000.0, Rng(21))
         kept = thin_stream(s, lambda t: 1.0 if t < 500.0 else 0.0, Rng(22))
-        assert all(t < 500.0 for t in kept.times)
-        early = sum(1 for t in s.times if t < 500.0)
+        assert (kept < 500.0).all()
+        early = int((s < 500.0).sum())
         assert len(kept) == early
 
     def test_thin_rejects_bad_probability(self):
@@ -193,8 +193,8 @@ class TestStreams:
 )
 def test_stream_invariants_property(seed, rate, horizon):
     s = sample_homogeneous_stream(rate, horizon, Rng(seed))
-    t = list(s.times)
+    t = s.tolist()
     assert t == sorted(t)
     assert all(0.0 < x <= horizon for x in t)
     # rerunning with the same seed reproduces the stream exactly
-    assert sample_homogeneous_stream(rate, horizon, Rng(seed)).times == s.times
+    assert sample_homogeneous_stream(rate, horizon, Rng(seed)).tolist() == t

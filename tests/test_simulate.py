@@ -311,15 +311,6 @@ class TestTraceCsv:
         write_trace_csv(trace, p2, policy="greedy")
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_incomplete_trace_refuses_to_serialize(self, tmp_path):
-        inst = one_type()
-        trace, _ = run_simulation(
-            inst, NO_OP, None, horizon=50.0, seed=73, record_trace=False
-        )
-        assert not trace.complete
-        with pytest.raises(ValueError):
-            write_trace_csv(trace, tmp_path / "x.csv")
-
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000), st.sampled_from(["online", "greedy", "periodic"]))
