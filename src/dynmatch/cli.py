@@ -42,7 +42,7 @@ from .market import (
 )
 from .policies import PolicyConfig, PolicyKind
 from .randomness import derive_seed
-from .simulate import run_simulation, write_trace_csv
+from .simulate import check_run_settings, run_simulation, write_trace_csv
 
 NOT_APPLICABLE = "NOT_APPLICABLE"
 
@@ -284,9 +284,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cfg.require("instance", "seed", "horizon", "out")
     instance = _load_checked_instance(cfg.instance)
     policies = cfg.built_policies(default_kinds=["online_match"])
-    solution = _policy_solution(policies, instance)
     horizon = float(cfg.horizon)
-    burn_in = cfg.burn_in if cfg.burn_in is not None else horizon / 100.0
+    burn_in = check_run_settings(horizon, cfg.burn_in)
+    solution = _policy_solution(policies, instance)
     os.makedirs(cfg.out, exist_ok=True)
 
     policy_blocks = []
@@ -348,6 +348,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     instance = _load_checked_instance(cfg.instance)
     policies = cfg.built_policies(default_kinds=["online_match", "greedy"])
     horizon = float(cfg.horizon)
+    burn_in = check_run_settings(horizon, cfg.burn_in)
     for h in cfg.hindsight_horizons:
         check_estimate_settings(h, cfg.hindsight_replications)
     online = [p for p in policies if p.kind is PolicyKind.ONLINE_MATCH]
@@ -357,7 +358,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
         raise DomainError("--with-diagnostics needs horizon >= 1e4")
     _, solution, _ = _solve_or_fail(instance)
     lp_value = solution.value
-    burn_in = cfg.burn_in if cfg.burn_in is not None else horizon / 100.0
     os.makedirs(cfg.out, exist_ok=True)
 
     rep_seeds = [derive_seed(cfg.seed, r) for r in range(cfg.replications)]
@@ -580,13 +580,9 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except MatchingTooLargeError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except DomainError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except ValueError as e:
+    except (MatchingTooLargeError, ValueError) as e:
+        # after the exit-2 clauses: ConfigError, JSONDecodeError and
+        # InstanceFormatError are ValueErrors too
         print(f"error: {e}", file=sys.stderr)
         return 1
 

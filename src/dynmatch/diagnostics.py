@@ -28,20 +28,22 @@ match records and the policy-free presence of the population:
   actual matches; the counters record the coincidence fraction and the
   exact per-pair inequality secured <= matched.
 
-The count runs in two steps after the run: _marker_events reads the
-population, the decision blocks and the match records into a MarkerEvents
-record (the real events and each type's presence transitions), and
-_event_counters adds the stand-in clocks and the waiting-state timeline
-and builds the EventCounters. Clock draws come from dedicated rng lanes
-chained off (seed, "diag", type_id) so instrumentation never perturbs the
-run itself: clocks are full-horizon streams sampled post-run and
-intersected with the presence windows.
+The count runs in two steps. _marker_events walks the run a chunk of
+arrivals at a time (a DecidedRun) and, once each chunk's walk is done,
+reads its decision blocks and match records into a MarkerEvents record
+(the real events and each type's presence transitions); no array of the
+pass grows as agents x types. Then _event_counters adds the stand-in
+clocks and the waiting-state timeline and builds the EventCounters. Clock
+draws come from dedicated rng lanes chained off (seed, "diag", type_id)
+so instrumentation never perturbs the run itself: clocks are full-horizon
+streams sampled post-run and intersected with the presence windows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -49,7 +51,7 @@ from .lp import LpSolution
 from .market import MarketInstance
 from .policies import attempt_probabilities
 from .randomness import Rng, derive_seed, sample_homogeneous_stream
-from .simulate import Population, SimulationReport, run_with_decisions
+from .simulate import DecidedRun, Population, SimulationReport
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -144,69 +146,91 @@ class MarkerEvents:
 
 def _marker_events(
     pop: Population,
-    perm: np.ndarray,
-    checks: np.ndarray,
-    records: list[tuple[float, int, int, int, int, float]],
+    chunks: Iterable[tuple[int, np.ndarray, np.ndarray, list[tuple]]],
 ) -> MarkerEvents:
     """Classify a random-order run's arrivals and departures into marker events.
 
-    perm and checks are the run's decision blocks (arrival i's type
-    permutation and its check outcomes in that order); records are its
-    match records, the arriver in slot b. An arrival's walk visits its
-    passing checks in permutation order and stops at the type it matched,
-    so those three inputs fix every marker event. Presence is tracked
-    independently of the market state: an agent is present from arrival
-    until its shadow departure, matched or not, and an arrival's
-    classification always uses presence *excluding* the arriver.
+    chunks walks the run (a DecidedRun): each chunk of arrivals comes
+    after its walk, as its first arrival's index, its decision blocks
+    (perm, checks: per arrival the type permutation and the check outcomes
+    in that order) and the match records it made, the arriver in slot b.
+    An arrival's walk visits its passing checks in permutation order and
+    stops at the type it matched, so those inputs fix every marker event.
+    Presence is tracked independently of the market state: an agent is
+    present from arrival until its shadow departure, matched or not, and an
+    arrival's classification always uses presence *excluding* the arriver.
     """
     n = len(pop.arrivals)
-    total = pop.n_agents
-    times = pop.order_times
-    types = pop.order_types
-    serials = pop.order_serials
-    rows = np.arange(total)[:, None]
-    # flat[i]: arrival i's index in the type-major concatenation
-    base = np.concatenate(([0], np.cumsum([len(a) for a in pop.arrivals])))
-    flat = base[types] + serials
-
-    # present[i, x]: some x agent with a positive stay arrived before
-    # arrival i and has not departed by its time
-    deps = np.concatenate(pop.departures)[flat]
-    stays = deps > times
-    present = np.empty((total, n), dtype=bool)
-    for x in range(n):
-        flag = stays & (types == x)
-        came = np.cumsum(flag) - flag
-        left = np.searchsorted(np.sort(deps[flag]), times, side="right")
-        present[:, x] = came > left
-
-    # the type each arrival matched, -1 if none
-    rec = np.array(records, dtype=np.float64).reshape(-1, 6).astype(np.int64)
-    partner = np.full(total, -1, dtype=np.int64)
-    partner[base[rec[:, 3]] + rec[:, 4]] = rec[:, 1]
-    partner = partner[flat]
-
-    blocking = checks & present[rows, perm]
-    idle = ~blocking.any(axis=1)
-    pre = np.zeros((total, n), dtype=bool)
-    pre[rows, perm] = checks
-
-    # a walk reaches the passing checks up to its matched type; first
-    # attempts stop at the first passing check on a present type
+    times, types, serials = pop.order_times, pop.order_types, pop.order_serials
     step = np.arange(n)
-    hit = perm == partner[:, None]
-    stop = np.where(hit.any(axis=1), hit.argmax(axis=1), n - 1)
-    unblocked = np.where(idle, n - 1, blocking.argmax(axis=1))
-    reached = checks & (step <= stop[:, None])
-    first = reached & (step <= unblocked[:, None])
+    base = np.concatenate(([0], np.cumsum([len(a) for a in pop.arrivals])))
+    # index[k]: the arrival index of agent k of the type-major concatenation
+    index = np.empty(pop.n_agents, dtype=np.int64)
+    index[base[types] + serials] = np.arange(pop.n_agents)
+    # x is present at an arrival when more x agents with a positive stay
+    # came before it than departed by its time; came and left carry those
+    # counts per type from chunk to chunk, left over the first `gone` of
+    # the stays' departures in time order
+    departures = np.concatenate(pop.departures)
+    stay = departures > np.concatenate(pop.arrivals)
+    by_time = np.argsort(departures[stay], kind="stable")
+    leave_time = departures[stay][by_time]
+    leave_type = np.repeat(step, np.diff(base))[stay][by_time]
+    came = np.zeros(n, dtype=np.int64)
+    left = np.zeros(n, dtype=np.int64)
+    gone = 0
+
+    # per chunk: idle arrivals (type, time); inbound attempts (type, time);
+    # reached attempts (pair key x * n + y, time, first?, matched?)
+    idle_parts: list[tuple[np.ndarray, ...]] = []
+    inbound_parts: list[tuple[np.ndarray, ...]] = []
+    reached_parts: list[tuple[np.ndarray, ...]] = []
+    for start, perm, checks, records in chunks:
+        end = start + len(perm)
+        t, y = times[start:end], types[start:end]
+        rows = np.arange(len(perm))[:, None]
+        stays = departures[base[y] + serials[start:end]] > t
+        joins = (y[:, None] == step) & stays[:, None]
+        came_by = came + np.cumsum(joins, axis=0) - joins
+        came += joins.sum(axis=0)
+        upto = np.searchsorted(leave_time, t, side="right")
+        leaving = np.zeros((upto[-1] - gone + 1, n), dtype=np.int64)
+        np.cumsum(leave_type[gone : upto[-1], None] == step, axis=0, out=leaving[1:])
+        present = came_by > left + leaving[upto - gone]
+        left += leaving[-1]
+        gone = upto[-1]
+
+        # the type each arrival matched, -1 if none
+        rec = np.array(records, dtype=np.float64).reshape(-1, 6).astype(np.int64)
+        partner = np.full(len(perm), -1, dtype=np.int64)
+        partner[index[base[rec[:, 3]] + rec[:, 4]] - start] = rec[:, 1]
+
+        blocking = checks & present[rows, perm]
+        idle = ~blocking.any(axis=1)
+        pre = np.zeros(present.shape, dtype=bool)
+        pre[rows, perm] = checks
+
+        # a walk reaches the passing checks up to its matched type; first
+        # attempts stop at the first passing check on a present type
+        hit = perm == partner[:, None]
+        stop = np.where(hit.any(axis=1), hit.argmax(axis=1), n - 1)
+        unblocked = np.where(idle, n - 1, blocking.argmax(axis=1))
+        reached = checks & (step <= stop[:, None])
+        first = reached & (step <= unblocked[:, None])
+
+        idle_parts.append((y[idle], t[idle]))
+        at, xs = np.nonzero(present & pre)
+        inbound_parts.append((xs, t[at]))
+        at, k = np.nonzero(reached)
+        reached_parts.append((perm[at, k] * n + y[at], t[at], first[at, k], hit[at, k]))
 
     sole = []
     transitions = []
     for x in range(n):
         arr, dep = pop.arrivals[x], pop.departures[x]
         stay = dep > arr
-        gone = np.nonzero(stay & (dep <= pop.horizon))[0]
-        d = dep[gone[np.argsort(dep[gone], kind="stable")]]
+        leaves = np.nonzero(stay & (dep <= pop.horizon))[0]
+        d = dep[leaves[np.argsort(dep[leaves], kind="stable")]]
         a = arr[stay]
         # a departure precedes arrivals at its own time
         before = np.searchsorted(a, d, side="left") - np.arange(len(d))
@@ -217,15 +241,21 @@ def _marker_events(
         counts = np.cumsum(np.where(arriving[order], 1, -1))
         transitions.append((when[order], counts))
 
+    def columns(parts: list[tuple[np.ndarray, ...]], *dtypes) -> list[np.ndarray]:
+        # each column of the chunks' tuples, concatenated in arrival order
+        return [np.concatenate([np.empty(0, dtype), *(p[c] for p in parts)])
+                for c, dtype in enumerate(dtypes)]
+
+    pair, when, is_first, matched = columns(reached_parts, np.int64, np.float64, bool, bool)
     return MarkerEvents(
         horizon=pop.horizon,
-        idle=tuple(times[idle & (types == x)] for x in range(n)),
-        inbound=tuple(times[present[:, x] & pre[:, x]] for x in range(n)),
+        idle=tuple(_by_key(*columns(idle_parts, np.int64, np.float64), n)),
+        inbound=tuple(_by_key(*columns(inbound_parts, np.int64, np.float64), n)),
         sole=tuple(sole),
         transitions=tuple(transitions),
-        first=_by_pair(n, perm, types, first, times),
-        first_matched=_by_pair(n, perm, types, first, partner[:, None] == perm),
-        reached=_by_pair(n, perm, types, reached, times),
+        first=_by_pair(pair[is_first], when[is_first], n),
+        first_matched=_by_pair(pair[is_first], matched[is_first], n),
+        reached=_by_pair(pair, when, n),
     )
 
 
@@ -363,14 +393,14 @@ def instrument_z_events(
     """Run the random-order policy once and count its marker events.
 
     The run itself uses the standard seed lanes (identical to an
-    uninstrumented run); the marker post-pass reuses its decision blocks and
-    draws nothing, and clocks use instrumentation-only lanes. burn_in is
-    zero so counter rates and report rates share a window.
+    uninstrumented run); the marker pass reads each chunk's decision blocks
+    after its walk and draws nothing, and clocks use instrumentation-only
+    lanes. burn_in is zero so counter rates and report rates share a
+    window.
     """
-    report, pop, perm, checks, records = run_with_decisions(
-        instance, solution, gamma, horizon=horizon, seed=seed
-    )
-    markers = _marker_events(pop, perm, checks, records)
+    run = DecidedRun(instance, solution, gamma, horizon=horizon, seed=seed)
+    markers = _marker_events(run.pop, run)
+    report = run.report()
     return (
         _event_counters(
             markers, instance, solution, gamma, seed, batch_count,
@@ -380,20 +410,23 @@ def instrument_z_events(
     )
 
 
+def _by_key(keys: np.ndarray, values: np.ndarray, size: int) -> list[np.ndarray]:
+    """values split by their integer keys in [0, size): one array per key,
+    each in the values' order."""
+    # the narrowest key type: a stable sort of 16-bit keys is a radix sort
+    order = np.argsort(keys.astype(np.min_scalar_type(size)), kind="stable")
+    return np.split(values[order], np.cumsum(np.bincount(keys, minlength=size))[:-1])
+
+
 def _by_pair(
-    n: int, perm: np.ndarray, types: np.ndarray, mask: np.ndarray, values: np.ndarray
+    pairs: np.ndarray, values: np.ndarray, n: int
 ) -> dict[tuple[int, int], np.ndarray]:
-    """Group the cells (i, k) of mask by the pair (perm[i, k], types[i]);
-    each group holds values, per arrival or per cell, in arrival order."""
-    ii, kk = np.nonzero(mask)
-    picked = values[ii, kk] if values.ndim == 2 else values[ii]
-    keys = perm[ii, kk] * n + types[ii]
-    order = np.argsort(keys, kind="stable")
-    keys, picked = keys[order], picked[order]
-    uniq, starts = np.unique(keys, return_index=True)
+    """values split by their pair keys x * n + y, keyed (x, y), for the
+    pairs that occur."""
     return {
-        (int(k) // n, int(k) % n): chunk
-        for k, chunk in zip(uniq, np.split(picked, starts[1:]))
+        (k // n, k % n): part
+        for k, part in enumerate(_by_key(pairs, values, n * n))
+        if len(part)
     }
 
 

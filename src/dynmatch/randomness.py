@@ -19,8 +19,9 @@ Frozen draw conventions (changing any of these invalidates recorded traces):
 
 Rng draws only raw integers and uniforms. The bounded-integer and shuffle
 rules are applied where they are used: simulate._decision_blocks runs the
-shuffle on whole blocks of raw draws, and the scalar next_below and shuffle
-in tests/oracles.py pin it one draw at a time.
+shuffle on blocks of raw draws, one chunk of arrivals at a time, and the
+scalar next_below and shuffle in tests/oracles.py pin it one draw at a
+time.
 """
 
 from __future__ import annotations
@@ -47,11 +48,13 @@ def mix64(z: int) -> int:
 
 
 def _mix64_block(z: np.ndarray) -> np.ndarray:
-    z = z ^ (z >> np.uint64(30))
-    z = z * np.uint64(_MIX1)
-    z = z ^ (z >> np.uint64(27))
-    z = z * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+    """mix64 on each element of a uint64 array, in place; returns z."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def derive_seed(master: int, *lane: int | str) -> int:
@@ -92,8 +95,10 @@ class Rng:
         return f"Rng(seed={self.seed:#x}, counter={self.counter})"
 
     def _raw_block(self, start: int, count: int) -> np.ndarray:
-        idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-        return _mix64_block(np.uint64(self.seed) + idx * np.uint64(GOLDEN))
+        z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+        z *= np.uint64(GOLDEN)
+        z += np.uint64(self.seed)
+        return _mix64_block(z)
 
     def next_uint64(self) -> int:
         out = mix64((self.seed + (self.counter + 1) * GOLDEN) & MASK64)

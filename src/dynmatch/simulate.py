@@ -7,17 +7,19 @@ then walks arrivals in time order applying the policy. Departure times are
 sampled at arrival; matched agents keep their sampled departure as a shadow
 so presence statistics are policy-independent.
 
-Every policy but periodic clearing runs through one loop, _run_walks:
+Every policy but periodic clearing runs through one loop, _Walker.walk:
 each arrival walks a list of candidate types in order and matches the
-FIFO-oldest available agent of the first candidate that has one. The
-random-order policy's lists are its passing checks in permutation order,
-pre-evaluated for all arrivals in one numpy pass (_decision_blocks);
-greedy's list is fixed per arriving type. Periodic clearing, exact with a
-state budget, loops over clear times instead (_run_clearing): numpy
-windows give each clear's new agents, and the pool matcher runs once per
-distinct pool type tuple of the run. The scalar step functions in
-tests/oracles.py are the reference the walk loop is tested against;
-diagnostics.py reads the same decision blocks after the run.
+FIFO-oldest available agent of the first candidate that has one. Arrivals
+go through it one chunk of _CHUNK at a time, so no array of the engine
+grows as agents x types. The random-order policy's lists are its passing
+checks in permutation order, pre-evaluated for one chunk in one numpy
+pass (_decision_blocks); greedy's list is fixed per arriving type.
+Periodic clearing, exact with a state budget, loops over clear times
+instead (_run_clearing): numpy windows give each clear's new agents, and
+the pool matcher runs once per distinct pool type tuple of the run. The
+scalar step functions in tests/oracles.py are the reference the walk loop
+is tested against; diagnostics.py reads each chunk's decision blocks once
+the walk has passed it (DecidedRun).
 
 Rng lane layout per run seed s (frozen):
     derive_seed(s, "arrivals")                arrival times + lifetimes,
@@ -50,7 +52,7 @@ import math
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -407,6 +409,21 @@ def _ordered_pair(
 # the engine
 
 
+def check_run_settings(horizon: float, burn_in: float | None) -> float:
+    """The burn-in of a run at this horizon, horizon/100 unless given.
+    Raises ValueError unless run_simulation accepts the pair; callers
+    check before their first run."""
+    if horizon < 0:
+        raise ValueError("horizon must be nonnegative")
+    if burn_in is None:
+        burn_in = horizon / 100.0
+    if burn_in < 0:
+        raise ValueError("burn_in must be nonnegative")
+    if burn_in >= horizon and horizon > 0:
+        raise ValueError(f"burn_in {burn_in} must be below horizon {horizon}")
+    return burn_in
+
+
 def _checked_burn_in(
     instance: MarketInstance,
     policy: PolicyConfig,
@@ -417,14 +434,7 @@ def _checked_burn_in(
     violations = validate_instance(instance)
     if violations:
         raise ValueError("invalid instance: " + "; ".join(v.code for v in violations))
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
-    if burn_in is None:
-        burn_in = horizon / 100.0
-    if burn_in < 0:
-        raise ValueError("burn_in must be nonnegative")
-    if burn_in >= horizon and horizon > 0:
-        raise ValueError(f"burn_in {burn_in} must be below horizon {horizon}")
+    burn_in = check_run_settings(horizon, burn_in)
     if policy.kind is PolicyKind.ONLINE_MATCH:
         if solution is None:
             raise ValueError("the random-order policy requires an LP solution")
@@ -450,43 +460,68 @@ def run_simulation(
     """
     burn_in = _checked_burn_in(instance, policy, solution, horizon, burn_in)
     pop = generate_population(instance, horizon, seed)
-    if policy.kind is PolicyKind.ONLINE_MATCH:
-        walks = _candidate_walks(*_decision_blocks(instance, policy, solution, pop, seed))
-        records, matched = _run_walks(instance, pop, walks)
-    elif policy.kind is PolicyKind.GREEDY:
-        records, matched = _run_walks(instance, pop, _greedy_walks(instance, pop))
-    elif policy.kind is PolicyKind.PERIODIC_CLEAR:
+    if policy.kind is PolicyKind.PERIODIC_CLEAR:
         records, matched = _run_clearing(instance, policy, pop)
     else:
-        records, matched = [], [bytearray(len(a)) for a in pop.arrivals]
+        walker = _Walker(instance, pop)
+        if policy.kind is PolicyKind.ONLINE_MATCH:
+            for perm, checks in _decision_blocks(instance, policy, solution, pop, seed):
+                walker.walk(_candidate_walks(perm, checks))
+        elif policy.kind is PolicyKind.GREEDY:
+            for walks in _greedy_walks(instance, pop):
+                walker.walk(walks)
+        records, matched = walker.records, walker.matched
     return _build_outputs(
         instance, policy, pop, records, matched, horizon, burn_in, seed, record_trace
     )
 
 
-def run_with_decisions(
-    instance: MarketInstance,
-    solution: LpSolution,
-    gamma: float,
-    *,
-    horizon: float,
-    seed: int,
-) -> tuple[SimulationReport, Population, np.ndarray, np.ndarray, list[_MatchRecord]]:
-    """The random-order run at zero burn-in, plus what it decided from.
+class DecidedRun:
+    """The random-order run at zero burn-in, walked one chunk of arrivals
+    at a time, with what each chunk decided from.
 
-    Returns the report, the population, the decision blocks (perm, checks)
-    of _decision_blocks and the match records, arriver in slot b. The run
-    is the one run_simulation makes on the same seed and lanes.
+    The run is the one run_simulation makes on the same seed and lanes.
+    pop is its population. Iterating, once, walks the run and yields after
+    each chunk (start, perm, checks, records): the index of the chunk's
+    first arrival, its decision blocks from _decision_blocks and the match
+    records it made, arriver in slot b. report() summarizes the walked run.
     """
-    policy = PolicyConfig(kind=PolicyKind.ONLINE_MATCH, gamma=gamma)
-    _checked_burn_in(instance, policy, solution, horizon, 0.0)
-    pop = generate_population(instance, horizon, seed)
-    perm, checks = _decision_blocks(instance, policy, solution, pop, seed)
-    records, matched = _run_walks(instance, pop, _candidate_walks(perm, checks))
-    _, report = _build_outputs(
-        instance, policy, pop, records, matched, horizon, 0.0, seed, False
-    )
-    return report, pop, perm, checks, records
+
+    def __init__(
+        self,
+        instance: MarketInstance,
+        solution: LpSolution,
+        gamma: float,
+        *,
+        horizon: float,
+        seed: int,
+    ):
+        self.policy = PolicyConfig(kind=PolicyKind.ONLINE_MATCH, gamma=gamma)
+        _checked_burn_in(instance, self.policy, solution, horizon, 0.0)
+        self.instance, self.horizon, self.seed = instance, horizon, seed
+        self.pop = generate_population(instance, horizon, seed)
+        self._blocks = _decision_blocks(instance, self.policy, solution, self.pop, seed)
+        self._walker = _Walker(instance, self.pop)
+
+    def __iter__(self) -> Iterator[tuple[int, np.ndarray, np.ndarray, list[_MatchRecord]]]:
+        walker = self._walker
+        for perm, checks in self._blocks:
+            start, made = walker.walked, len(walker.records)
+            walker.walk(_candidate_walks(perm, checks))
+            yield start, perm, checks, walker.records[made:]
+
+    def report(self) -> SimulationReport:
+        _, report = _build_outputs(
+            self.instance, self.policy, self.pop, self._walker.records,
+            self._walker.matched, self.horizon, 0.0, self.seed, False,
+        )
+        return report
+
+
+# arrivals per decision block and per call of the engine loop; a
+# throughput knob only: the draws are counter-indexed, so the chunk size
+# never changes a draw, a match or an output
+_CHUNK = 4096
 
 
 def _decision_blocks(
@@ -495,99 +530,124 @@ def _decision_blocks(
     solution: LpSolution,
     pop: Population,
     seed: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pre-evaluate every arrival's policy randomness in one numpy pass.
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Pre-evaluate the arrivals' policy randomness, _CHUNK arrivals at a
+    time.
 
-    Returns (perm, checks), both (arrivals, n): row i is arrival i's type
-    permutation and its check outcomes in permutation-position order.
-    Consumes exactly 2n-1 draws per arrival from the decisions lane,
-    bit-identical to the scalar online_match_step in tests/oracles.py.
+    Yields (perm, checks) per chunk of arrivals, in arrival order, both
+    (chunk arrivals, n): row i is the chunk's arrival i's type permutation
+    and its check outcomes in permutation-position order. Consumes exactly
+    2n-1 draws per arrival from the decisions lane, bit-identical to the
+    scalar online_match_step in tests/oracles.py; chunk k reads the lane's
+    counters from k * _CHUNK * (2n-1) on, so the chunk size never changes
+    a draw.
     """
     n = instance.n_types
-    total = pop.n_agents
     stride = 2 * n - 1
-    if total == 0:
-        return np.zeros((0, n), dtype=np.int64), np.zeros((0, n), dtype=bool)
     probs = np.array(
         attempt_probabilities(instance, solution, policy.gamma), dtype=np.float64
     )
     rng = Rng(derive_seed(seed, "decisions", policy.lane_token()))
-    raw = rng.uint64_block(total * stride).reshape(total, stride)
-    perm = np.tile(np.arange(n, dtype=np.int64), (total, 1))
-    rows = np.arange(total)
-    col = 0
-    for i in range(n - 1, 0, -1):
-        j = (raw[:, col] % np.uint64(i + 1)).astype(np.int64)
-        col += 1
-        tmp = perm[rows, i].copy()
-        perm[rows, i] = perm[rows, j]
-        perm[rows, j] = tmp
-    uniforms = ((raw[:, n - 1 :] >> np.uint64(11)) + np.uint64(1)).astype(
-        np.float64
-    ) * _INV53
-    checks = uniforms <= probs[perm, pop.order_types[:, None]]
-    return perm, checks
+    for start in range(0, pop.n_agents, _CHUNK):
+        types = pop.order_types[start : start + _CHUNK]
+        total = len(types)
+        raw = rng.uint64_block(total * stride).reshape(total, stride)
+        # the permutations position-major: position k of arrival r sits at
+        # k * total + r, so each Fisher-Yates step swaps one contiguous row
+        # with one element per arrival
+        slots = np.repeat(np.arange(n, dtype=np.int64), total)
+        rows = np.arange(total)
+        for col, i in enumerate(range(n - 1, 0, -1)):
+            j = (raw[:, col] % np.uint64(i + 1)).astype(np.int64)
+            j *= total
+            j += rows
+            row = slots[i * total : (i + 1) * total]
+            swapped = row.copy()
+            row[:] = slots[j]
+            slots[j] = swapped
+        perm = slots.reshape(n, total).T
+        uniforms = ((raw[:, n - 1 :] >> np.uint64(11)) + np.uint64(1)).astype(
+            np.float64
+        ) * _INV53
+        yield perm, uniforms <= probs.ravel()[perm * n + types[:, None]]
 
 
-def _candidate_walks(perm: np.ndarray, checks: np.ndarray) -> Iterator[list[int]]:
-    """Per arrival, the types whose check passed, in permutation order."""
+def _candidate_walks(perm: np.ndarray, checks: np.ndarray) -> list[list[int]]:
+    """Per arrival of a chunk, the types whose check passed, in
+    permutation order."""
     offsets = np.concatenate(([0], np.cumsum(checks.sum(axis=1)))).tolist()
     candidates = perm[np.nonzero(checks)].tolist()
-    return map(candidates.__getitem__, map(slice, offsets, offsets[1:]))
+    return list(map(candidates.__getitem__, map(slice, offsets, offsets[1:])))
 
 
-def _greedy_walks(instance: MarketInstance, pop: Population) -> Iterator[list[int]]:
-    """Per arrival of type y, the types x with v_xy > 0 by descending value,
-    ties to the lower id: the preference order of the scalar greedy_step
-    in tests/oracles.py."""
+def _greedy_walks(instance: MarketInstance, pop: Population) -> Iterator[list[list[int]]]:
+    """Per chunk of _CHUNK arrivals, per arrival of type y, the types x
+    with v_xy > 0 by descending value, ties to the lower id: the
+    preference order of the scalar greedy_step in tests/oracles.py."""
     values = instance.values.dense()
     n = instance.n_types
     by_type = [
         sorted((x for x in range(n) if values[x][y] > 0.0), key=lambda x: (-values[x][y], x))
         for y in range(n)
     ]
-    return map(by_type.__getitem__, pop.order_types.tolist())
+    types = pop.order_types
+    for start in range(0, pop.n_agents, _CHUNK):
+        yield list(map(by_type.__getitem__, types[start : start + _CHUNK].tolist()))
 
 
-def _run_walks(
-    instance: MarketInstance, pop: Population, walks: Iterable[Sequence[int]]
-) -> tuple[list[_MatchRecord], list[bytearray]]:
-    """The engine loop: arrival i tries the types of its walk in order and
-    matches the FIFO-oldest available agent of the first that has one; an
-    unmatched patient arrival joins its type's queue. Queues are purged
-    lazily, dropping departed heads as a walk meets them."""
-    n = instance.n_types
-    matched = [bytearray(len(a)) for a in pop.arrivals]
-    records: list[_MatchRecord] = []
-    deps = [d.tolist() for d in pop.departures]
-    values = instance.values.dense()
-    queues: list[deque[int]] = [deque() for _ in range(n)]
-    arrivals = zip(
-        pop.order_times.tolist(),
-        pop.order_types.tolist(),
-        pop.order_serials.tolist(),
-        walks,
-    )
-    for t, y, s, walk in arrivals:
-        found = -1
-        for x in walk:
-            q = queues[x]
-            dx = deps[x]
-            while q:
-                cs = q.popleft()
-                if dx[cs] > t:
-                    found = cs
+class _Walker:
+    """The engine loop, and what it carries from one chunk of arrivals to
+    the next: the FIFO queues of waiting serials per type, the matched
+    flags per type and serial, the match records (arriver in slot b) and
+    the number of arrivals walked."""
+
+    __slots__ = ("pop", "walked", "records", "matched", "_deps", "_values", "_queues")
+
+    def __init__(self, instance: MarketInstance, pop: Population):
+        self.pop = pop
+        self.walked = 0
+        self.records: list[_MatchRecord] = []
+        self.matched = [bytearray(len(a)) for a in pop.arrivals]
+        self._deps = [d.tolist() for d in pop.departures]
+        self._values = instance.values.dense()
+        self._queues: list[deque[int]] = [deque() for _ in range(instance.n_types)]
+
+    def walk(self, walks: Sequence[Sequence[int]]) -> None:
+        """Walk the next len(walks) arrivals: arrival i tries the types of
+        its walk in order and matches the FIFO-oldest available agent of
+        the first that has one; an unmatched patient arrival joins its
+        type's queue. Queues are purged lazily, dropping departed heads as
+        a walk meets them."""
+        start = self.walked
+        end = self.walked = start + len(walks)
+        pop = self.pop
+        matched, records, deps = self.matched, self.records, self._deps
+        values, queues = self._values, self._queues
+        arrivals = zip(
+            pop.order_times[start:end].tolist(),
+            pop.order_types[start:end].tolist(),
+            pop.order_serials[start:end].tolist(),
+            walks,
+        )
+        for t, y, s, walk in arrivals:
+            found = -1
+            for x in walk:
+                q = queues[x]
+                dx = deps[x]
+                while q:
+                    cs = q.popleft()
+                    if dx[cs] > t:
+                        found = cs
+                        break
+                if found >= 0:
                     break
             if found >= 0:
-                break
-        if found >= 0:
-            matched[x][found] = 1
-            matched[y][s] = 1
-            # the partner is earlier in (time, type, serial) order: slot a
-            records.append((t, x, found, y, s, values[x][y]))
-        elif deps[y][s] > t:
-            queues[y].append(s)
-    return records, matched
+                matched[x][found] = 1
+                matched[y][s] = 1
+                # the partner is earlier in (time, type, serial) order: slot a
+                records.append((t, x, found, y, s, values[x][y]))
+            elif deps[y][s] > t:
+                queues[y].append(s)
 
 
 def _run_clearing(

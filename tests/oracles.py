@@ -7,11 +7,12 @@ matching search are exponential-time and only suitable for tiny inputs.
 The rest are code the package replaced, kept as references: the LP with
 explicit cap and box rows on a dense tableau, the compatibility-graph pair
 walk, the trace walks over event objects one at a time, periodic
-clearing walked over arrivals with a bitmask pool matcher, and the scalar
+clearing walked over arrivals with a bitmask pool matcher, the scalar
 step functions of the random-order and greedy policies with their
-one-draw-at-a-time Fisher-Yates shuffle. The pool matcher reuses the
-bitmask DP the package keeps for max_weight_matching_exact, which shares
-no code with the count matcher it is checked against.
+one-draw-at-a-time Fisher-Yates shuffle, and the random-order policy's
+decision blocks evaluated for a whole run in one pass. The pool matcher
+reuses the bitmask DP the package keeps for max_weight_matching_exact,
+which shares no code with the count matcher it is checked against.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dynmatch.market import (
     validate_instance,
 )
 from dynmatch.policies import attempt_probabilities
-from dynmatch.randomness import Rng
+from dynmatch.randomness import Rng, derive_seed
 
 _FEAS_TOL = 1e-9
 _PIVOT_TOL = 1e-10
@@ -767,3 +768,33 @@ def greedy_step(
         order=(),
         pre_evaluated=(),
     )
+
+
+def decision_blocks_at_once(instance, policy, solution, pop, seed):
+    """(perm, checks) of every arrival of the run in one numpy pass, both
+    (arrivals, n): the decision blocks before the engine read them a chunk
+    at a time."""
+    n = instance.n_types
+    total = pop.n_agents
+    stride = 2 * n - 1
+    if total == 0:
+        return np.zeros((0, n), dtype=np.int64), np.zeros((0, n), dtype=bool)
+    probs = np.array(
+        attempt_probabilities(instance, solution, policy.gamma), dtype=np.float64
+    )
+    rng = Rng(derive_seed(seed, "decisions", policy.lane_token()))
+    raw = rng.uint64_block(total * stride).reshape(total, stride)
+    perm = np.tile(np.arange(n, dtype=np.int64), (total, 1))
+    rows = np.arange(total)
+    col = 0
+    for i in range(n - 1, 0, -1):
+        j = (raw[:, col] % np.uint64(i + 1)).astype(np.int64)
+        col += 1
+        tmp = perm[rows, i].copy()
+        perm[rows, i] = perm[rows, j]
+        perm[rows, j] = tmp
+    uniforms = ((raw[:, n - 1 :] >> np.uint64(11)) + np.uint64(1)).astype(
+        np.float64
+    ) * 2.0 ** -53
+    checks = uniforms <= probs[perm, pop.order_types[:, None]]
+    return perm, checks

@@ -259,6 +259,13 @@ class TestCompare:
      "--with-diagnostics needs an online_match policy"),
     (["diagnose", "--horizon", "500", "--replications", "3"],
      "rate bounds need a horizon of at least 1e4"),
+    (["simulate", "--horizon", "100", "--burn-in", "100"],
+     "burn_in 100.0 must be below horizon 100.0"),
+    (["compare", "--horizon", "100", "--burn-in", "150"],
+     "burn_in 150.0 must be below horizon 100.0"),
+    (["simulate", "--horizon=-5"], "horizon must be nonnegative"),
+    (["compare", "--horizon=-5"], "horizon must be nonnegative"),
+    (["compare", "--horizon", "100", "--burn-in=-1"], "burn_in must be nonnegative"),
 ])
 def test_run_settings_fail_before_any_run(argv, message, two_type_file, tmp_path, capsys):
     out = tmp_path / "out"
