@@ -36,7 +36,8 @@ def parse_args(argv):
     p.add_argument("--gamma", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--exact-threshold", type=int, default=20,
-                   help="refuse overlap components larger than this")
+                   help="refuse populations with more agents open at once than "
+                        "this; the hindsight sweep keeps up to 2**this states")
     return p.parse_args(argv)
 
 

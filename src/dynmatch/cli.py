@@ -350,7 +350,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     horizon = float(cfg.horizon)
     burn_in = check_run_settings(horizon, cfg.burn_in)
     for h in cfg.hindsight_horizons:
-        check_estimate_settings(h, cfg.hindsight_replications)
+        check_estimate_settings(h, cfg.hindsight_replications, cfg.exact_threshold)
     online = [p for p in policies if p.kind is PolicyKind.ONLINE_MATCH]
     if cfg.with_diagnostics and not online:
         raise DomainError("--with-diagnostics needs an online_match policy")
@@ -522,7 +522,7 @@ def _add_experiment_flags(
                        help="period for periodic_clear")
     if compare_extras:
         p.add_argument("--exact-threshold", dest="exact_threshold", type=int,
-                       help="max component size for the exact matcher (default 20)")
+                       help="most agents open at once for the exact hindsight matcher (default 20)")
         p.add_argument("--hindsight-horizons", dest="hindsight_horizons",
                        type=lambda text: [_finite_float(h) for h in text.split(",") if h],
                        help="comma-separated horizon ladder for the hindsight benchmark")

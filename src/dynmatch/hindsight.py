@@ -8,16 +8,14 @@ Presence windows are [arrival, departure) half-open, so an impatient agent
 (zero-length window) is compatible exactly with agents present at its
 arrival instant, which mirrors the simulator's matching rule.
 
-The matcher is exact: per connected component, it takes the lowest
-remaining vertex and either leaves it unmatched or pairs it with each of
-its remaining neighbors in turn, memoized on the remaining-vertex bitmask.
-No bound prunes the search. Cost is exponential in component size, not in
-run length; a market that empties now and then splits the graph into short
-busy-period components, which is what makes long low-load horizons
-tractable. Components above the threshold raise MatchingTooLargeError
-instead of silently falling back to a heuristic.
+The matcher is exact: one sweep over the agents in arrival order keeps,
+for each set of earlier agents open (with a later neighbour) and not yet
+matched, the best value so far. No bound prunes the search. Cost is
+exponential in the frontier width, the most agents open at once, not in
+run length or busy-period size; a width above the threshold raises
+MatchingTooLargeError up front instead of falling back to a heuristic.
 
-Periodic clearing's pools go to max_weight_pool: the same search on
+Periodic clearing's pools go to max_weight_pool: an exact search on
 per-type counts, with a state budget that raises the same error.
 """
 
@@ -25,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -35,7 +32,7 @@ from .simulate import EventTrace, generate_population
 
 
 class MatchingTooLargeError(RuntimeError):
-    """A component exceeds the exact matcher's size threshold or state budget."""
+    """A market exceeds the exact matcher's frontier threshold or state budget."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,59 +114,115 @@ def build_compatibility_graph(
 # exact matching
 
 
-def _mask_matching(
-    member: list[int], neighbor_mask: list[int], weight: dict[tuple[int, int], float]
-) -> tuple[list[tuple[int, int]], float]:
-    """Max-weight matching over one component by exhaustive search on the
-    lowest remaining vertex (unmatched, or paired with each remaining
-    neighbor), memoized on the remaining-vertex bitmask, with no bound.
-    member maps local bit positions to caller indices."""
-    m = len(member)
-    memo: dict[int, float] = {0: 0.0}
+def _frontier(graph: CompatibilityGraph, exact_threshold: int) -> np.ndarray:
+    """Each node's last neighbour, -1 if none is later: node i is open from
+    its step to that one's. Raises MatchingTooLargeError if more than
+    exact_threshold nodes are open at once."""
+    n = graph.n_nodes
+    last = np.full(n, -1, dtype=np.int64)
+    np.maximum.at(last, graph.edges[:, 0], graph.edges[:, 1])
+    opens = np.flatnonzero(last >= 0)
+    width = np.cumsum(np.bincount(opens, minlength=n) - np.bincount(last[opens], minlength=n))
+    if width.max(initial=0) > exact_threshold:
+        raise MatchingTooLargeError(
+            f"frontier of {width.max()} nodes exceeds the exact threshold {exact_threshold}"
+        )
+    return last
 
-    def dp(mask: int) -> float:
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        low = (mask & -mask).bit_length() - 1
-        rest = mask & (mask - 1)
-        best = dp(rest)  # leave the lowest vertex unmatched
-        nb = neighbor_mask[low] & rest
-        while nb:
-            jb = nb & -nb
-            j = jb.bit_length() - 1
-            nb ^= jb
-            cand = weight[(low, j)] + dp(rest & ~jb)
-            if cand > best:
-                best = cand
-        memo[mask] = best
-        return best
 
-    full = (1 << m) - 1
-    total = dp(full)
+def _sweep(
+    graph: CompatibilityGraph, last: np.ndarray, by_type: bool
+) -> tuple[set[tuple[int, int]], float]:
+    """Max-weight matching by one sweep over the nodes in index order.
 
-    pairs: list[tuple[int, int]] = []
-    mask = full
-    while mask:
-        low = (mask & -mask).bit_length() - 1
-        rest = mask & (mask - 1)
-        if dp(mask) == dp(rest):
-            mask = rest  # unmatched is optimal; ties prefer unmatched
-            continue
-        nb = neighbor_mask[low] & rest
-        target = dp(mask)
-        chosen = -1
-        while nb:
-            jb = nb & -nb
-            j = jb.bit_length() - 1
-            nb ^= jb
-            if weight[(low, j)] + dp(rest & ~jb) == target:
-                chosen = j  # lowest optimal partner
-                break
-        assert chosen >= 0, "reconstruction lost the optimum"
-        pairs.append((member[low], member[chosen]))
-        mask = rest & ~(1 << chosen)
-    return pairs, total
+    A state is the set of open nodes not yet matched, a bitmask over slots
+    that leaving nodes free, with its best value so far (>= 0: weights are
+    positive). Node j maps each state to one where j stays unmatched (and
+    takes a slot if it has a later neighbour) and one per candidate, an
+    open unmatched neighbour that j takes; then the nodes whose last
+    neighbour is j drop out. Every matching arises so, each pair made at
+    its later node, so the sweep is exact; lone nodes cost nothing.
+
+    Without by_type every open neighbour is a candidate and back-pointers
+    give the pairs; a tie keeps the first option found, unmatched first.
+    With by_type only the value is found, and j tries, per neighbour type,
+    the unmatched one that departs first. That is exact on _build_graph's
+    edges, the overlapping windows of positive-value type pairs. Say
+    candidates i and i' of j share a type and d_i <= d_i'. An edge (i, k),
+    k > j, has a_k < d_i <= d_i', or a_i = a_k < d_k and so a_j = a_k;
+    then the edge (i', j) has a_k = a_j < d_i' or a_i' = a_j = a_k < d_k.
+    Either way (i', k) is an edge of the same value, so i leaves the
+    frontier no later than i', and a best completion after j takes i'
+    gives one of equal value after j takes i: i' takes i's later partner.
+    A zero-length window (a_i = d_i) has only second-case edges: covered.
+    """
+    i, j = graph.edges[:, 0], graph.edges[:, 1]
+    order = np.lexsort((graph.departure[i], graph.types[i], j) if by_type else (i, j))
+    src, dst = i[order], j[order]
+    fresh = np.ones(len(order), dtype=bool)  # where a group of candidates starts
+    if by_type:
+        fresh[1:] = (dst[1:] != dst[:-1]) | (graph.types[src[1:]] != graph.types[src[:-1]])
+    opens = last >= 0
+    steps = np.flatnonzero(opens | (np.bincount(j, minlength=graph.n_nodes) > 0))
+    leavers = np.flatnonzero(opens)[np.argsort(last[opens], kind="stable")]
+    ends = zip(*(np.searchsorted(c, steps, "right").tolist() for c in (dst, last[leavers])))
+    src, weights, fresh, leavers = (x.tolist() for x in (src, graph.weights[order], fresh, leavers))
+
+    bit_of: dict[int, int] = {}
+    free: list[int] = []
+    states = {0: (0.0, 0, -1)}  # mask: (value, mask before the step, partner taken)
+    back = []
+    e0 = x0 = 0
+    for node, enters, (e1, x1) in zip(steps.tolist(), opens[steps].tolist(), ends):
+        groups: list[tuple[float, list[tuple[int, int]]]] = []
+        for e in range(e0, e1):
+            if fresh[e]:
+                groups.append((weights[e], []))
+            groups[-1][1].append((bit_of[src[e]], src[e]))
+        keep = -1
+        for x in leavers[x0:x1]:
+            keep ^= bit_of[x]
+            free.append(bit_of.pop(x))
+        e0, x0 = e1, x1
+        bit = (free.pop() if free else 1 << len(bit_of)) if enters else 0
+        if bit:
+            bit_of[node] = bit
+        new: dict[int, tuple[float, int, int]] = {}
+        get = new.get
+        for mask, (val, _, _) in states.items():
+            base = mask & keep
+            if val > get(base | bit, (-1.0,))[0]:
+                new[base | bit] = (val, mask, -1)
+            for w, cands in groups:
+                for b, partner in cands:
+                    if mask & b:
+                        if val + w > get(base & ~b, (-1.0,))[0]:
+                            new[base & ~b] = (val + w, mask, partner)
+                        break
+        states = new
+        if not by_type:
+            back.append(new)
+    pairs, mask = set(), 0
+    for node, step in zip(reversed(steps.tolist()), reversed(back)):
+        _, mask, partner = step[mask]
+        if partner >= 0:
+            pairs.add((partner, node))
+    return pairs, states[0][0]
+
+
+def max_weight_matching_exact(
+    graph: CompatibilityGraph, exact_threshold: int = 20
+) -> tuple[set[tuple[int, int]], float]:
+    """Globally optimal matching; returns ((i, j) node-index edges, value).
+
+    The edges may be any (i, j), i < j: every open neighbour is tried.
+    The cost is exponential in the frontier width, the most nodes open at
+    once, so a width above exact_threshold raises MatchingTooLargeError.
+    """
+    return _sweep(graph, _frontier(graph, exact_threshold), by_type=False)
+
+
+POOL_STATE_BUDGET = 200_000  # count vectors per component of a clearing pool
 
 
 def _components(n: int, adjacency: list[list[int]]) -> list[list[int]]:
@@ -193,62 +246,6 @@ def _components(n: int, adjacency: list[list[int]]) -> list[list[int]]:
     return out
 
 
-def _component_problems(
-    n: int, edges: list[tuple[int, int, float]]
-) -> Iterator[tuple[list[int], list[int], dict[tuple[int, int], float]]]:
-    """The connected components of two or more nodes of a graph on n
-    nodes, given as (i, j, weight) edges with i < j. Each comes as
-    (members, neighbour bitmasks, weights), where local index k (bit k of
-    a mask, an entry of a weight key) stands for members[k] and weights
-    are keyed both ways round."""
-    adjacency: list[list[int]] = [[] for _ in range(n)]
-    wmap: dict[tuple[int, int], float] = {}
-    for i, j, w in edges:
-        adjacency[i].append(j)
-        adjacency[j].append(i)
-        wmap[(i, j)] = w
-    for comp in _components(n, adjacency):
-        if len(comp) == 1:
-            continue
-        local = {node: k for k, node in enumerate(comp)}
-        neighbor_mask = [0] * len(comp)
-        weight: dict[tuple[int, int], float] = {}
-        for node in comp:
-            for other in adjacency[node]:
-                li, lj = local[node], local[other]
-                neighbor_mask[li] |= 1 << lj
-                key = (node, other) if node < other else (other, node)
-                weight[(li, lj)] = wmap[key]
-        yield comp, neighbor_mask, weight
-
-
-def max_weight_matching_exact(
-    graph: CompatibilityGraph, exact_threshold: int = 20
-) -> tuple[set[tuple[int, int]], float]:
-    """Globally optimal matching; returns ((i, j) node-index edges, value).
-
-    The size precondition binds per memoized subproblem, i.e. per connected
-    component, since disconnected parts decompose exactly. A component
-    larger than exact_threshold raises MatchingTooLargeError.
-    """
-    edges = [(i, j, w) for (i, j), w in zip(graph.edges.tolist(), graph.weights.tolist())]
-    matching: set[tuple[int, int]] = set()
-    total = 0.0
-    for comp, neighbor_mask, weight in _component_problems(graph.n_nodes, edges):
-        if len(comp) > exact_threshold:
-            raise MatchingTooLargeError(
-                f"component of {len(comp)} nodes exceeds the exact threshold "
-                f"{exact_threshold}"
-            )
-        pairs, value = _mask_matching(comp, neighbor_mask, weight)
-        matching.update((min(i, j), max(i, j)) for i, j in pairs)
-        total += value
-    return matching, total
-
-
-POOL_STATE_BUDGET = 200_000  # count vectors per component of a clearing pool
-
-
 def max_weight_pool(pool: tuple[int, ...], values: list[list[float]]) -> list[tuple[int, int]]:
     """Exact pool matcher for periodic clearing: pool lists the agents'
     types in ascending order, values is the dense value matrix (only
@@ -261,10 +258,11 @@ def max_weight_pool(pool: tuple[int, ...], values: list[list[float]]) -> list[tu
     y >= x, tried in ascending order, a candidate kept only if strictly
     better. Reconstruction keeps "unmatched" on a tie, else the lowest
     optimal y, and takes agents from the front of each type's run. These
-    are _mask_matching's rules on the pool in (type, serial) order, so the
-    pairs are the same. The work is polynomial in pool size and
-    exponential in the number of types present; a component that needs
-    more than POOL_STATE_BUDGET states raises MatchingTooLargeError.
+    are the rules of the bitmask DP in tests/oracles.py on the pool in
+    (type, serial) order, so the pairs are the same. The work is
+    polynomial in pool size and exponential in the number of types
+    present; a component that needs more than POOL_STATE_BUDGET states
+    raises MatchingTooLargeError.
     """
     present = sorted(set(pool))
     linked = [[j for j, y in enumerate(present) if y != x and values[x][y] > 0.0] for x in present]
@@ -339,13 +337,15 @@ def _count_matching(
 # Monte Carlo estimate
 
 
-def check_estimate_settings(horizon: float, replications: int) -> None:
-    """Raise ValueError unless hindsight_value_estimate can run at this
-    horizon and replication count; callers check before their first run."""
+def check_estimate_settings(horizon: float, replications: int, exact_threshold: int) -> None:
+    """Raise ValueError unless hindsight_value_estimate can run with these
+    settings; callers check before their first run."""
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     if replications < 2:
         raise ValueError("need at least 2 replications for a standard error")
+    if exact_threshold < 1:
+        raise ValueError("exact_threshold must be at least 1")
 
 
 def hindsight_value_estimate(
@@ -358,20 +358,20 @@ def hindsight_value_estimate(
     """Mean and standard error of hindsight value per unit time.
 
     Each replication samples a fresh population (no policy is run), builds
-    the compatibility graph, and solves it exactly. Replication r uses the
-    lane derive_seed(seed, r). The caller picks a horizon and load small
-    enough for exact solving; an oversized busy period surfaces as
-    MatchingTooLargeError rather than a degraded estimate.
+    the compatibility graph, and solves it exactly by the value-only sweep.
+    Replication r uses the lane derive_seed(seed, r). The sweep keeps at
+    most 2**exact_threshold states: a population with more agents open at
+    once raises MatchingTooLargeError up front, not a degraded estimate.
     """
     violations = validate_instance(instance)
     if violations:
         raise ValueError("invalid instance: " + "; ".join(v.code for v in violations))
-    check_estimate_settings(horizon, replications)
+    check_estimate_settings(horizon, replications, exact_threshold)
     per_time = np.empty(replications)
     for r in range(replications):
         pop = generate_population(instance, horizon, derive_seed(seed, r))
         graph = _build_graph(*pop.agents(), instance, pop.horizon)
-        _, value = max_weight_matching_exact(graph, exact_threshold)
+        _, value = _sweep(graph, _frontier(graph, exact_threshold), by_type=True)
         per_time[r] = value / horizon
     mean = float(per_time.mean())
     se = float(per_time.std(ddof=1) / math.sqrt(replications))

@@ -1,18 +1,18 @@
 """Slow independent reference implementations used to cross-check the package.
 
-Nothing here calls into dynmatch's solver or matcher, bar one reuse
-named below; each oracle takes a structurally different route to the same
-number so that agreement is meaningful. The vertex enumeration and the
-matching search are exponential-time and only suitable for tiny inputs.
-The rest are code the package replaced, kept as references: the LP with
-explicit cap and box rows on a dense tableau, the compatibility-graph pair
-walk, the trace walks over event objects one at a time, periodic
-clearing walked over arrivals with a bitmask pool matcher, the scalar
-step functions of the random-order and greedy policies with their
-one-draw-at-a-time Fisher-Yates shuffle, and the random-order policy's
-decision blocks evaluated for a whole run in one pass. The pool matcher
-reuses the bitmask DP the package keeps for max_weight_matching_exact,
-which shares no code with the count matcher it is checked against.
+Nothing here calls into dynmatch's solver or matcher; each oracle takes a
+structurally different route to the same number so that agreement is
+meaningful. The vertex enumeration and the matching searches are
+exponential-time and only suitable for small inputs. The rest are code
+the package replaced, kept as references: the LP with explicit cap and box
+rows on a dense tableau, the compatibility-graph pair walk, the bitmask
+DP per connected component that max_weight_matching_exact ran before its
+arrival-order sweep, the trace walks over event objects one at a time,
+periodic clearing walked over arrivals with the bitmask DP as its pool
+matcher, the scalar step functions of the random-order and greedy
+policies with their one-draw-at-a-time Fisher-Yates shuffle, and the
+random-order policy's decision blocks evaluated for a whole run in one
+pass.
 """
 
 from __future__ import annotations
@@ -336,6 +336,115 @@ def best_matching_by_enumeration(
     return walk(0, 0)
 
 
+def _mask_matching(
+    member: list[int], neighbor_mask: list[int], weight: dict[tuple[int, int], float]
+) -> tuple[list[tuple[int, int]], float]:
+    """Max-weight matching over one component by exhaustive search on the
+    lowest remaining vertex (unmatched, or paired with each remaining
+    neighbor), memoized on the remaining-vertex bitmask, with no bound.
+    member maps local bit positions to caller indices."""
+    m = len(member)
+    memo: dict[int, float] = {0: 0.0}
+
+    def dp(mask: int) -> float:
+        cached = memo.get(mask)
+        if cached is not None:
+            return cached
+        low = (mask & -mask).bit_length() - 1
+        rest = mask & (mask - 1)
+        best = dp(rest)  # leave the lowest vertex unmatched
+        nb = neighbor_mask[low] & rest
+        while nb:
+            jb = nb & -nb
+            j = jb.bit_length() - 1
+            nb ^= jb
+            cand = weight[(low, j)] + dp(rest & ~jb)
+            if cand > best:
+                best = cand
+        memo[mask] = best
+        return best
+
+    full = (1 << m) - 1
+    total = dp(full)
+
+    pairs: list[tuple[int, int]] = []
+    mask = full
+    while mask:
+        low = (mask & -mask).bit_length() - 1
+        rest = mask & (mask - 1)
+        if dp(mask) == dp(rest):
+            mask = rest  # unmatched is optimal; ties prefer unmatched
+            continue
+        nb = neighbor_mask[low] & rest
+        target = dp(mask)
+        chosen = -1
+        while nb:
+            jb = nb & -nb
+            j = jb.bit_length() - 1
+            nb ^= jb
+            if weight[(low, j)] + dp(rest & ~jb) == target:
+                chosen = j  # lowest optimal partner
+                break
+        assert chosen >= 0, "reconstruction lost the optimum"
+        pairs.append((member[low], member[chosen]))
+        mask = rest & ~(1 << chosen)
+    return pairs, total
+
+
+def _component_problems(n: int, edges: list[tuple[int, int, float]]):
+    """The connected components of two or more nodes of a graph on n
+    nodes, given as (i, j, weight) edges with i < j. Each comes as
+    (members, neighbour bitmasks, weights), where local index k (bit k of
+    a mask, an entry of a weight key) stands for members[k] and weights
+    are keyed both ways round."""
+    adjacency: list[list[int]] = [[] for _ in range(n)]
+    wmap: dict[tuple[int, int], float] = {}
+    for i, j, w in edges:
+        adjacency[i].append(j)
+        adjacency[j].append(i)
+        wmap[(i, j)] = w
+    seen = [False] * n
+    for start in range(n):
+        if seen[start] or not adjacency[start]:
+            continue
+        seen[start] = True
+        comp, todo = [start], [start]
+        while todo:
+            for other in adjacency[todo.pop()]:
+                if not seen[other]:
+                    seen[other] = True
+                    comp.append(other)
+                    todo.append(other)
+        comp.sort()
+        local = {node: k for k, node in enumerate(comp)}
+        neighbor_mask = [0] * len(comp)
+        weight: dict[tuple[int, int], float] = {}
+        for node in comp:
+            for other in adjacency[node]:
+                li, lj = local[node], local[other]
+                neighbor_mask[li] |= 1 << lj
+                key = (node, other) if node < other else (other, node)
+                weight[(li, lj)] = wmap[key]
+        yield comp, neighbor_mask, weight
+
+
+def matching_by_components(
+    n: int, edges: list[tuple[int, int, float]], max_component: int = 20
+) -> tuple[list[tuple[int, int]], float]:
+    """Max-weight matching of a graph on n nodes as the bitmask DP per
+    connected component; returns sorted (i, j), i < j, pairs and the
+    value. A component above max_component nodes raises ValueError."""
+    out: list[tuple[int, int]] = []
+    total = 0.0
+    for comp, neighbor_mask, weight in _component_problems(n, edges):
+        if len(comp) > max_component:
+            raise ValueError(f"component of {len(comp)} nodes is too large for the DP")
+        pairs, value = _mask_matching(comp, neighbor_mask, weight)
+        out.extend((min(i, j), max(i, j)) for i, j in pairs)
+        total += value
+    return sorted(out), total
+
+
 def matching_weight(edges: set[tuple[int, int]], weights: dict) -> float:
     """Sum of edge weights, asserting the edge set really is a matching."""
     seen: set[int] = set()
@@ -489,20 +598,13 @@ def max_weight_pool(n: int, weight) -> list[tuple[int, int]]:
     """Exact pool matcher for periodic clearing: n entries, weight(i, j)
     callable, returns disjoint index pairs of an optimal matching. Zero
     and negative weights never enter the graph."""
-    from dynmatch.hindsight import _component_problems, _mask_matching
-
     edges = [
         (i, j, w)
         for i in range(n)
         for j in range(i + 1, n)
         if (w := weight(i, j)) > 0.0
     ]
-    out: list[tuple[int, int]] = []
-    for comp, neighbor_mask, wlocal in _component_problems(n, edges):
-        pairs, _ = _mask_matching(comp, neighbor_mask, wlocal)
-        out.extend((min(i, j), max(i, j)) for i, j in pairs)
-    out.sort()
-    return out
+    return matching_by_components(n, edges, max_component=n)[0]
 
 
 class MarketState:

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import re
+from pathlib import Path
 
 import pytest
 
@@ -16,8 +17,11 @@ from dynmatch import (
     read_trace_csv,
 )
 from dynmatch.cli import main
+from dynmatch.hindsight import _build_graph, _frontier, _sweep
 
 from helpers import random_instance
+
+LONG_MARKET = str(Path(__file__).resolve().parents[1] / "bench" / "instances" / "long.json")
 
 ONE_TYPE_DOC = {
     "types": [{"label": "solo", "arrival_rate": 1.0, "departure_rate": 1.0}],
@@ -241,6 +245,34 @@ class TestCompare:
         assert [h["horizon"] for h in doc["hindsight"]] == [5.0, 10.0]
         assert all(h["se"] >= 0.0 for h in doc["hindsight"])
 
+    def test_hindsight_on_a_market_that_rarely_empties(self, tmp_path):
+        # the benchmark's long market keeps one busy period going for most
+        # of a 50-unit horizon, but few agents are open at once
+        nx = pytest.importorskip("networkx")
+        out = tmp_path / "cmp"
+        assert main(["compare", "--instance", LONG_MARKET, "--seed", "1",
+                     "--horizon", "100", "--hindsight-horizons", "50",
+                     "--hindsight-replications", "3", "--out", str(out)]) == 0
+        doc = json.loads((out / "comparison.json").read_text())
+        instance = load_instance(LONG_MARKET)
+        lane = derive_seed(1, "hindsight", 0)  # the ladder's first rung
+        values = []
+        for r in range(3):
+            pop = generate_population(instance, 50.0, derive_seed(lane, r))
+            graph = _build_graph(*pop.agents(), instance, pop.horizon)
+            g = nx.Graph()
+            g.add_weighted_edges_from(zip(*graph.edges.T.tolist(), graph.weights.tolist()))
+            want = sum(
+                g[i][j]["weight"]
+                for part in nx.connected_components(g)
+                for i, j in nx.max_weight_matching(g.subgraph(part))
+            )
+            value = _sweep(graph, _frontier(graph, 20), by_type=True)[1]
+            assert value == pytest.approx(want, rel=1e-12)
+            values.append(value / 50.0)
+        row = doc["hindsight"][0]
+        assert row["mean_value_per_time"] == pytest.approx(sum(values) / 3, rel=1e-12)
+
     def test_diagnostics_needs_long_horizon(self, two_type_file, tmp_path):
         code = main(["compare", "--instance", two_type_file, "--seed", "5",
                      "--horizon", "200", "--with-diagnostics",
@@ -266,6 +298,12 @@ class TestCompare:
     (["simulate", "--horizon=-5"], "horizon must be nonnegative"),
     (["compare", "--horizon=-5"], "horizon must be nonnegative"),
     (["compare", "--horizon", "100", "--burn-in=-1"], "burn_in must be nonnegative"),
+    (["compare", "--horizon", "2000", "--hindsight-horizons", "5",
+      "--hindsight-replications", "3", "--exact-threshold=-1"],
+     "exact_threshold must be at least 1"),
+    (["compare", "--horizon", "2000", "--hindsight-horizons", "5",
+      "--hindsight-replications", "3", "--exact-threshold", "0"],
+     "exact_threshold must be at least 1"),
 ])
 def test_run_settings_fail_before_any_run(argv, message, two_type_file, tmp_path, capsys):
     out = tmp_path / "out"

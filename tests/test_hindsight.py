@@ -1,9 +1,10 @@
 """Hindsight benchmark: compatibility graph, exact matcher, estimator, and
 the clearing pool matcher.
 
-The matcher is validated against tests/oracles.py's full enumeration and
-against pools small enough to solve by hand; the pool matcher against the
-bitmask pool matcher it replaced, the enumeration and networkx.
+The sweep is validated against tests/oracles.py's full enumeration, the
+bitmask DP per component it replaced, and graphs small enough to solve by
+hand, under both candidate rules; the pool matcher against the bitmask
+pool matcher it replaced, the enumeration and networkx.
 """
 
 import math
@@ -17,6 +18,8 @@ from dynmatch import (
     PolicyConfig,
     PolicyKind,
     build_compatibility_graph,
+    generate_population,
+    hindsight,
     hindsight_value_estimate,
     max_weight_matching_exact,
     run_simulation,
@@ -25,13 +28,16 @@ from dynmatch import (
 from dynmatch.hindsight import (
     CompatibilityGraph,
     _build_graph,
+    _frontier,
+    _sweep,
     max_weight_pool,
 )
 
-from helpers import make_instance, one_type, random_instance
+from helpers import drawn_instance, make_instance, one_type, random_instance
 from oracles import (
     best_matching_by_enumeration,
     graph_edges_by_walk,
+    matching_by_components,
     matching_weight,
     windows_overlap,
 )
@@ -51,6 +57,38 @@ def graph_of(windows, edge_values, horizon=100.0):
         weights=np.array([edge_values[e] for e in edges], dtype=np.float64),
         horizon=horizon,
     )
+
+
+def lattice_graph(rng, max_agents):
+    """A random market with impatient types, and a population whose
+    arrivals and stays lie on a coarse lattice, so exact ties between
+    arrivals, departures and zero-length windows are common."""
+    inst = random_instance(rng, rng.randint(2, 5), allow_impatient=True)
+    n = rng.randint(0, max_agents)
+    types = np.array([rng.randrange(inst.n_types) for _ in range(n)], dtype=np.int64)
+    arrivals = np.array([rng.randint(0, 12) * 0.5 for _ in range(n)])
+    stay = np.array([
+        0.0 if inst.types[x].impatient
+        else rng.choice([0.5, 1.0, 2.5, math.inf, rng.randint(1, 5) * 0.5])
+        for x in types.tolist()
+    ])
+    return inst, _build_graph(types, np.arange(n), arrivals, arrivals + stay, inst, 10.0)
+
+
+def market_graph(rng, horizon, seed):
+    """A random market with impatient types and one sampled population."""
+    inst = random_instance(rng, rng.randint(1, 5), allow_impatient=True)
+    pop = generate_population(inst, horizon, seed)
+    return _build_graph(*pop.agents(), inst, pop.horizon)
+
+
+def by_type_value(graph, exact_threshold=20):
+    return _sweep(graph, _frontier(graph, exact_threshold), by_type=True)[1]
+
+
+def dp_value(graph):
+    edges = zip(graph.edges[:, 0].tolist(), graph.edges[:, 1].tolist(), graph.weights.tolist())
+    return matching_by_components(graph.n_nodes, list(edges))[1]
 
 
 def overlaps(ai, di, aj, dj):
@@ -158,19 +196,7 @@ class TestEdgesAgreeWithPairWalk:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_lattice_populations(self, seed):
-        # arrivals and departures on a coarse lattice, so exact ties between
-        # arrivals, departures and zero-length windows are common
-        rng = random.Random(500 + seed)
-        inst = random_instance(rng, rng.randint(2, 5), allow_impatient=True)
-        n = rng.randint(0, 60)
-        types = np.array([rng.randrange(inst.n_types) for _ in range(n)], dtype=np.int64)
-        arrivals = np.array([rng.randint(0, 12) * 0.5 for _ in range(n)])
-        stay = np.array([
-            0.0 if inst.types[x].impatient
-            else rng.choice([0.5, 1.0, 2.5, math.inf, rng.randint(1, 5) * 0.5])
-            for x in types.tolist()
-        ])
-        g = _build_graph(types, np.arange(n), arrivals, arrivals + stay, inst, 10.0)
+        inst, g = lattice_graph(random.Random(500 + seed), 60)
         edges, weights = graph_edges_by_walk(g.types, g.arrival, g.departure, inst)
         assert g.edges.tolist() == edges
         assert g.weights.tolist() == weights
@@ -245,21 +271,77 @@ class TestExactMatcher:
             best_matching_by_enumeration(n, edges), abs=1e-12
         )
 
-    def test_threshold_binds_per_component(self):
-        # 30 nodes in 15 disjoint pairs: fine even with threshold 2
+    def test_threshold_binds_the_frontier_not_the_graph(self):
+        # 30 nodes in 15 disjoint pairs: at most one node is ever open
         edges = {(2 * k, 2 * k + 1): 1.0 for k in range(15)}
         g = graph_of([(0, 1)] * 30, edges)
-        _, value = max_weight_matching_exact(g, exact_threshold=2)
+        _, value = max_weight_matching_exact(g, exact_threshold=1)
         assert value == 15.0
 
-    def test_oversized_component_raises(self):
-        # a path on 5 nodes is one component of size 5
-        edges = {(k, k + 1): 1.0 for k in range(4)}
-        g = graph_of([(0, 1)] * 5, edges)
-        with pytest.raises(MatchingTooLargeError):
-            max_weight_matching_exact(g, exact_threshold=4)
-        _, value = max_weight_matching_exact(g, exact_threshold=5)
-        assert value == 2.0
+    @pytest.mark.parametrize("width", [1, 3, 6])
+    def test_oversized_frontier_raises(self, width):
+        # nodes 0 .. width-1 all wait for their one neighbour, node width;
+        # the path behind it keeps the frontier at one node
+        edges = {(k, width): 1.0 + k for k in range(width)}
+        edges.update({(width + k, width + k + 1): 0.1 * (k + 1) for k in range(5)})
+        g = graph_of([(0, 1)] * (width + 6), edges)
+        with pytest.raises(MatchingTooLargeError, match=f"frontier of {width} nodes"):
+            max_weight_matching_exact(g, exact_threshold=width - 1)
+        matching, value = max_weight_matching_exact(g, exact_threshold=width)
+        assert matching == {(width - 1, width), (width + 2, width + 3), (width + 4, width + 5)}
+        assert value == pytest.approx(width + 0.8)
+
+    def test_a_long_path_has_a_frontier_of_one(self):
+        # one connected component of 200 nodes, far beyond any bitmask DP
+        edges = {(k, k + 1): 1.0 + (k % 3 == 0) for k in range(199)}
+        g = graph_of([(0, 1)] * 200, edges)
+        _, value = max_weight_matching_exact(g, exact_threshold=1)
+        assert value == pytest.approx(dp_chain(edges, 200))
+
+
+def dp_chain(edges, n):
+    """Max-weight matching of the path 0 - 1 - ... - n-1 by the textbook
+    recursion over prefixes."""
+    best = [0.0, 0.0]
+    for k in range(1, n):
+        best.append(max(best[-1], best[-2] + edges[(k - 1, k)]))
+    return best[-1]
+
+
+class TestSweepAgreesWithBitmaskDP:
+    """Both candidate rules against the bitmask DP per component, on
+    population graphs small enough for it."""
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_random_markets(self, seed):
+        g = market_graph(random.Random(700 + seed), 2.0, seed)
+        want = dp_value(g)
+        assert by_type_value(g) == pytest.approx(want, rel=1e-12)
+        matching, value = max_weight_matching_exact(g)
+        assert value == pytest.approx(want, rel=1e-12)
+        weights = dict(zip(map(tuple, g.edges.tolist()), g.weights.tolist()))
+        assert matching_weight(matching, weights) == pytest.approx(value, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_lattice_populations(self, seed):
+        _, g = lattice_graph(random.Random(600 + seed), 18)
+        want = dp_value(g)
+        assert by_type_value(g) == pytest.approx(want, rel=1e-12)
+        assert max_weight_matching_exact(g)[1] == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_small_populations_agree_with_enumeration(self, seed):
+        _, g = lattice_graph(random.Random(800 + seed), 10)
+        weights = dict(zip(map(tuple, g.edges.tolist()), g.weights.tolist()))
+        want = best_matching_by_enumeration(g.n_nodes, weights)
+        assert by_type_value(g) == pytest.approx(want, rel=1e-12)
+        assert max_weight_matching_exact(g)[1] == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_candidate_rules_agree_beyond_the_dp(self, seed):
+        # busy periods far larger than the DP could take
+        g = market_graph(random.Random(900 + seed), 20.0, seed)
+        assert by_type_value(g) == pytest.approx(max_weight_matching_exact(g)[1], rel=1e-12)
 
 
 def pool_values(rng, n_types):
@@ -355,6 +437,16 @@ class TestHindsightEstimate:
     def test_requires_two_replications(self):
         with pytest.raises(ValueError):
             hindsight_value_estimate(one_type(), 10.0, 1, seed=1)
+
+    def test_wide_market_raises_before_the_sweep(self, monkeypatch):
+        # the benchmark's 40-type market keeps about 70 agents open at once
+        def no_sweep(*args):
+            raise AssertionError("the sweep started")
+
+        monkeypatch.setattr(hindsight, "_sweep", no_sweep)
+        wide = drawn_instance(random.Random(40), 40)
+        with pytest.raises(MatchingTooLargeError, match=r"frontier of \d\d+ nodes exceeds"):
+            hindsight_value_estimate(wide, 200.0, 2, seed=1)
 
     def test_dominates_online_policy_pathwise(self):
         # the realized online matching is one feasible matching of the same

@@ -5,7 +5,8 @@ dump and the label lookup had no caller in the package, its scripts or
 its benchmark. The steps and the shuffle live on as references in
 tests/oracles.py; the rest is gone. Streams and the hindsight graph are
 numpy columns with no wrapper objects, and a run without a trace returns
-None instead of a trace marked incomplete. A name added to or dropped
+None instead of a trace marked incomplete. The hindsight bitmask DP per
+component lives on in tests/oracles.py. A name added to or dropped
 from the surface changes this list on purpose.
 """
 
@@ -99,6 +100,8 @@ def test_every_public_name_resolves():
     (diagnostics, "MarkerObserver"),
     (randomness, "EventStream"),
     (hindsight, "GraphNode"),
+    (hindsight, "_mask_matching"),
+    (hindsight, "_component_problems"),
     (lp.FeasibilityReport, "violated"),
 ])
 def test_removed_name_is_gone(owner, name):
