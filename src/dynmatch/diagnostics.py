@@ -146,14 +146,15 @@ class MarkerEvents:
 
 def _marker_events(
     pop: Population,
-    chunks: Iterable[tuple[int, np.ndarray, np.ndarray, list[tuple]]],
+    chunks: Iterable[tuple[int, np.ndarray, np.ndarray, tuple[np.ndarray, ...]]],
 ) -> MarkerEvents:
     """Classify a random-order run's arrivals and departures into marker events.
 
     chunks walks the run (a DecidedRun): each chunk of arrivals comes
     after its walk, as its first arrival's index, its decision blocks
     (perm, checks: per arrival the type permutation and the check outcomes
-    in that order) and the match records it made, the arriver in slot b.
+    in that order) and the match records it made (the arrival indices of
+    arriver and partner).
     An arrival's walk visits its passing checks in permutation order and
     stops at the type it matched, so those inputs fix every marker event.
     Presence is tracked independently of the market state: an agent is
@@ -161,21 +162,16 @@ def _marker_events(
     arrival's classification always uses presence *excluding* the arriver.
     """
     n = len(pop.arrivals)
-    times, types, serials = pop.order_times, pop.order_types, pop.order_serials
+    types, _, times, departures = pop.agents()
     step = np.arange(n)
-    base = np.concatenate(([0], np.cumsum([len(a) for a in pop.arrivals])))
-    # index[k]: the arrival index of agent k of the type-major concatenation
-    index = np.empty(pop.n_agents, dtype=np.int64)
-    index[base[types] + serials] = np.arange(pop.n_agents)
     # x is present at an arrival when more x agents with a positive stay
     # came before it than departed by its time; came and left carry those
     # counts per type from chunk to chunk, left over the first `gone` of
     # the stays' departures in time order
-    departures = np.concatenate(pop.departures)
-    stay = departures > np.concatenate(pop.arrivals)
+    stay = departures > times
     by_time = np.argsort(departures[stay], kind="stable")
     leave_time = departures[stay][by_time]
-    leave_type = np.repeat(step, np.diff(base))[stay][by_time]
+    leave_type = types[stay][by_time]
     came = np.zeros(n, dtype=np.int64)
     left = np.zeros(n, dtype=np.int64)
     gone = 0
@@ -189,7 +185,7 @@ def _marker_events(
         end = start + len(perm)
         t, y = times[start:end], types[start:end]
         rows = np.arange(len(perm))[:, None]
-        stays = departures[base[y] + serials[start:end]] > t
+        stays = stay[start:end]
         joins = (y[:, None] == step) & stays[:, None]
         came_by = came + np.cumsum(joins, axis=0) - joins
         came += joins.sum(axis=0)
@@ -201,9 +197,9 @@ def _marker_events(
         gone = upto[-1]
 
         # the type each arrival matched, -1 if none
-        rec = np.array(records, dtype=np.float64).reshape(-1, 6).astype(np.int64)
+        arriver, partner_index = records
         partner = np.full(len(perm), -1, dtype=np.int64)
-        partner[index[base[rec[:, 3]] + rec[:, 4]] - start] = rec[:, 1]
+        partner[arriver - start] = types[partner_index]
 
         blocking = checks & present[rows, perm]
         idle = ~blocking.any(axis=1)

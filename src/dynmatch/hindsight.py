@@ -246,7 +246,9 @@ def _components(n: int, adjacency: list[list[int]]) -> list[list[int]]:
     return out
 
 
-def max_weight_pool(pool: tuple[int, ...], values: list[list[float]]) -> list[tuple[int, int]]:
+def max_weight_pool(
+    pool: tuple[int, ...], values: list[list[float]], tables: dict | None = None
+) -> list[tuple[int, int]]:
     """Exact pool matcher for periodic clearing: pool lists the agents'
     types in ascending order, values is the dense value matrix (only
     positive values are edges). Returns the sorted index pairs (i, j),
@@ -262,31 +264,42 @@ def max_weight_pool(pool: tuple[int, ...], values: list[list[float]]) -> list[tu
     (type, serial) order, so the pairs are the same. The work is
     polynomial in pool size and exponential in the number of types
     present; a component that needs more than POOL_STATE_BUDGET states
-    raises MatchingTooLargeError.
+    raises MatchingTooLargeError. tables, if given, maps a component's
+    types to optimal values by count vector, shared by the pools passed
+    with it: a component of at most POOL_STATE_BUDGET count vectors (the
+    product of count + 1) uses it, a larger one a table of its own, so it
+    raises exactly when it raises alone.
     """
     present = sorted(set(pool))
     linked = [[j for j, y in enumerate(present) if y != x and values[x][y] > 0.0] for x in present]
     out: list[tuple[int, int]] = []
     for comp in _components(len(present), linked):
-        types = [present[k] for k in comp]
+        types = tuple(present[k] for k in comp)
         if len(types) > 1 or values[types[0]][types[0]] > 0.0:
+            counts = [pool.count(x) for x in types]
+            shared = tables is not None and math.prod(c + 1 for c in counts) <= POOL_STATE_BUDGET
             out += _count_matching(
-                types, [pool.count(x) for x in types], [pool.index(x) for x in types], values,
+                types, counts, [pool.index(x) for x in types], values,
+                tables.setdefault(types, {0: 0.0}) if shared else {0: 0.0}, not shared,
                 f"clearing pool of {len(pool)} agents over {len(present)} types",
             )
     return sorted(out)
 
 
 def _count_matching(
-    types: list[int], counts: list[int], first: list[int], values: list[list[float]], pool: str
+    types: tuple[int, ...], counts: list[int], first: list[int], values: list[list[float]],
+    best: dict[int, float], budget: bool, pool: str,
 ) -> list[tuple[int, int]]:
     """One component's pairs by pool index; type k has counts[k] agents
-    from pool index first[k] on. A state is a count vector packed in
-    mixed radix, type k being digit k, so taking an agent of type k
-    subtracts stride[k]."""
+    from pool index first[k] on. A state is a count vector, type k being
+    digit k of a width that fits any count a shared table meets, so taking
+    an agent of type k subtracts unit[k]. best maps states to optimal
+    values; with budget it is the pool's own, held to POOL_STATE_BUDGET."""
     k = len(types)
-    radix = [c + 1 for c in counts]
-    stride = [math.prod(radix[:i]) for i in range(k)]
+    width = max(POOL_STATE_BUDGET, *counts).bit_length()
+    shift = [width * i for i in range(k)]
+    unit = [1 << s for s in shift]
+    digit = (1 << width) - 1
     partners = [
         [(j, values[types[i]][types[j]]) for j in range(i, k) if values[types[i]][types[j]] > 0.0]
         for i in range(k)
@@ -296,13 +309,12 @@ def _count_matching(
         """The lowest type present, the state without one of its agents,
         and each partner type still available there with its state."""
         i = 0
-        while s // stride[i] % radix[i] == 0:
+        while not s >> shift[i] & digit:
             i += 1
-        r = s - stride[i]
-        return i, r, [(j, w, r - stride[j]) for j, w in partners[i] if r // stride[j] % radix[j]]
+        r = s - unit[i]
+        return i, r, [(j, w, r - unit[j]) for j, w in partners[i] if r >> shift[j] & digit]
 
-    best = {0: 0.0}
-    full = sum(c * st for c, st in zip(counts, stride))
+    full = sum(c << s for c, s in zip(counts, shift))
     stack = [full]
     while stack:
         s = stack[-1]
@@ -315,7 +327,7 @@ def _count_matching(
             stack += todo
             continue
         best[s] = max([best[r]] + [w + best[u] for _, w, u in options])
-        if len(best) > POOL_STATE_BUDGET:
+        if budget and len(best) > POOL_STATE_BUDGET:
             raise MatchingTooLargeError(f"{pool} needs more than {POOL_STATE_BUDGET} matcher states")
 
     pairs: list[tuple[int, int]] = []

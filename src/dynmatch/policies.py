@@ -4,11 +4,11 @@ The main policy draws a fresh uniformly random type order at every arrival
 and walks it with pre-evaluated Bernoulli checks, attempting type x with
 probability gamma * alpha_xy * max(1, mu_x/lambda_x); greedy is the
 immediate baseline; periodic clearing batches the available pool at clear
-times. The engine in simulate.py runs all three: the walks in
-_Walker.walk over decision blocks from _decision_blocks, one chunk of
-arrivals at a time, and clearing in _run_clearing with
-hindsight.max_weight_pool. The scalar step functions its tests compare it
-against live in tests/oracles.py.
+times. The engine in simulate.py runs all three: the random-order walk in
+_Walker over decision blocks from _decision_blocks, one chunk of arrivals
+at a time; greedy in _run_greedy; clearing in _run_clearing with
+hindsight.max_weight_pool. The scalar step functions and the walk loop its
+tests compare it against live in tests/oracles.py.
 
 Draw discipline for the random-order policy (frozen): each arrival consumes
 exactly 2n-1 values from its rng, n being the number of types; first n-1

@@ -7,19 +7,20 @@ then walks arrivals in time order applying the policy. Departure times are
 sampled at arrival; matched agents keep their sampled departure as a shadow
 so presence statistics are policy-independent.
 
-Every policy but periodic clearing runs through one loop, _Walker.walk:
-each arrival walks a list of candidate types in order and matches the
-FIFO-oldest available agent of the first candidate that has one. Arrivals
-go through it one chunk of _CHUNK at a time, so no array of the engine
-grows as agents x types. The random-order policy's lists are its passing
-checks in permutation order, pre-evaluated for one chunk in one numpy
-pass (_decision_blocks); greedy's list is fixed per arriving type.
-Periodic clearing, exact with a state budget, loops over clear times
-instead (_run_clearing): numpy windows give each clear's new agents, and
-the pool matcher runs once per distinct pool type tuple of the run. The
-scalar step functions in tests/oracles.py are the reference the walk loop
-is tested against; diagnostics.py reads each chunk's decision blocks once
-the walk has passed it (DecidedRun).
+The random-order policy's loop (_Walker) takes only the arrivals with a
+passing check: each tries those types in permutation order and matches
+the oldest available agent of the first that has one, found from a
+per-type head pointer into that type's serials. The checks are
+pre-evaluated for one chunk of _CHUNK arrivals in one numpy pass
+(_decision_blocks), so no array grows as agents x types. Greedy walks
+every arrival over FIFO deques in a fixed order per arriving type
+(_run_greedy). Periodic clearing loops over clear times instead
+(_run_clearing): numpy windows give each clear's new agents, and the pool
+matcher runs once per distinct count vector, on value tables shared by
+the run's pools. Match records are int64 columns, no object per match.
+The walk loop and scalar steps in tests/oracles.py are the references
+these loops are tested against; diagnostics.py reads each chunk's
+decision blocks once the walk has passed it (DecidedRun).
 
 Rng lane layout per run seed s (frozen):
     derive_seed(s, "arrivals")                arrival times + lifetimes,
@@ -49,6 +50,7 @@ dataclasses are views of single rows, built only when a trace is iterated.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -258,14 +260,17 @@ class Population:
         return len(self.order_times)
 
     def agents(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Every agent in (type, serial) order: type, serial, arrival and
+        """Every agent in arrival order: type, serial, arrival and
         departure time."""
-        return (
-            np.concatenate([np.full(len(a), x) for x, a in enumerate(self.arrivals)]),
-            np.concatenate([np.arange(len(a)) for a in self.arrivals]),
-            np.concatenate(self.arrivals),
-            np.concatenate(self.departures),
-        )
+        base = np.cumsum([0] + [len(a) for a in self.arrivals])
+        departures = np.concatenate(self.departures)[base[self.order_types] + self.order_serials]
+        return self.order_types, self.order_serials, self.order_times, departures
+
+    def by_type(self) -> list[np.ndarray]:
+        """Per type, its agents' arrival indices, in serial order."""
+        types = self.order_types.astype(np.min_scalar_type(len(self.arrivals)))
+        order = np.argsort(types, kind="stable")  # a radix sort on narrow keys
+        return np.split(order, np.cumsum([len(a) for a in self.arrivals])[:-1])
 
 
 def generate_population(
@@ -312,9 +317,9 @@ def generate_population(
 
 
 class MarketState:
-    """Periodic clearing's waiting agents: per type, ascending serials. At
-    a clear's snapshot each entry is present and unmatched; the agents
-    matched there are dropped at the next clear."""
+    """Periodic clearing's waiting agents: per type, their arrival indices
+    in ascending order. At a clear's snapshot each entry is present and
+    unmatched."""
 
     __slots__ = ("waiting",)
 
@@ -392,19 +397,6 @@ def _presence_from_population(
     )
 
 
-# match record: (time, a_type, a_serial, b_type, b_serial, value) with the
-# earlier arrival in slot a
-_MatchRecord = tuple[float, int, int, int, int, float]
-
-
-def _ordered_pair(
-    t: float, ta: float, xa: int, sa: int, tb: float, xb: int, sb: int, v: float
-) -> _MatchRecord:
-    if (ta, xa, sa) <= (tb, xb, sb):
-        return (t, xa, sa, xb, sb, v)
-    return (t, xb, sb, xa, sa, v)
-
-
 # ---------------------------------------------------------------------------
 # the engine
 
@@ -461,19 +453,16 @@ def run_simulation(
     burn_in = _checked_burn_in(instance, policy, solution, horizon, burn_in)
     pop = generate_population(instance, horizon, seed)
     if policy.kind is PolicyKind.PERIODIC_CLEAR:
-        records, matched = _run_clearing(instance, policy, pop)
+        matches = _run_clearing(instance, policy, pop)
+    elif policy.kind is PolicyKind.GREEDY:
+        matches = _walk_matches(pop, _run_greedy(instance, pop))
     else:
-        walker = _Walker(instance, pop)
+        walker = _Walker(pop)
         if policy.kind is PolicyKind.ONLINE_MATCH:
             for perm, checks in _decision_blocks(instance, policy, solution, pop, seed):
-                walker.walk(_candidate_walks(perm, checks))
-        elif policy.kind is PolicyKind.GREEDY:
-            for walks in _greedy_walks(instance, pop):
-                walker.walk(walks)
-        records, matched = walker.records, walker.matched
-    return _build_outputs(
-        instance, policy, pop, records, matched, horizon, burn_in, seed, record_trace
-    )
+                walker.walk(perm, checks)
+        matches = _walk_matches(pop, walker.records)
+    return _build_outputs(instance, policy, pop, matches, horizon, burn_in, seed, record_trace)
 
 
 class DecidedRun:
@@ -484,38 +473,30 @@ class DecidedRun:
     pop is its population. Iterating, once, walks the run and yields after
     each chunk (start, perm, checks, records): the index of the chunk's
     first arrival, its decision blocks from _decision_blocks and the match
-    records it made, arriver in slot b. report() summarizes the walked run.
+    records it made, as two int64 columns: the arrival indices of arriver
+    and partner. report() summarizes the walked run.
     """
 
-    def __init__(
-        self,
-        instance: MarketInstance,
-        solution: LpSolution,
-        gamma: float,
-        *,
-        horizon: float,
-        seed: int,
-    ):
+    def __init__(self, instance: MarketInstance, solution: LpSolution, gamma: float, *,
+                 horizon: float, seed: int):
         self.policy = PolicyConfig(kind=PolicyKind.ONLINE_MATCH, gamma=gamma)
         _checked_burn_in(instance, self.policy, solution, horizon, 0.0)
         self.instance, self.horizon, self.seed = instance, horizon, seed
         self.pop = generate_population(instance, horizon, seed)
         self._blocks = _decision_blocks(instance, self.policy, solution, self.pop, seed)
-        self._walker = _Walker(instance, self.pop)
+        self._walker = _Walker(self.pop)
 
-    def __iter__(self) -> Iterator[tuple[int, np.ndarray, np.ndarray, list[_MatchRecord]]]:
+    def __iter__(self) -> Iterator[tuple[int, np.ndarray, np.ndarray, tuple[np.ndarray, ...]]]:
         walker = self._walker
         for perm, checks in self._blocks:
-            start, made = walker.walked, len(walker.records)
-            walker.walk(_candidate_walks(perm, checks))
-            yield start, perm, checks, walker.records[made:]
+            start, made = walker.walked, len(walker.records[0])
+            walker.walk(perm, checks)
+            yield start, perm, checks, tuple(np.array(r[made:]) for r in walker.records)
 
     def report(self) -> SimulationReport:
-        _, report = _build_outputs(
-            self.instance, self.policy, self.pop, self._walker.records,
-            self._walker.matched, self.horizon, 0.0, self.seed, False,
-        )
-        return report
+        matches = _walk_matches(self.pop, self._walker.records)
+        return _build_outputs(self.instance, self.policy, self.pop, matches,
+                              self.horizon, 0.0, self.seed, False)[1]
 
 
 # arrivals per decision block and per call of the engine loop; a
@@ -572,169 +553,197 @@ def _decision_blocks(
         yield perm, uniforms <= probs.ravel()[perm * n + types[:, None]]
 
 
-def _candidate_walks(perm: np.ndarray, checks: np.ndarray) -> list[list[int]]:
-    """Per arrival of a chunk, the types whose check passed, in
-    permutation order."""
-    offsets = np.concatenate(([0], np.cumsum(checks.sum(axis=1)))).tolist()
-    candidates = perm[np.nonzero(checks)].tolist()
-    return list(map(candidates.__getitem__, map(slice, offsets, offsets[1:])))
+class _Walker:
+    """The random-order policy's walk and what it carries from one chunk
+    of arrivals to the next: per type, a head pointer into its serials (in
+    arrival order) before which every agent is matched or gone, and the
+    match records as two int64 columns, the arrival indices of arriver and
+    partner. A matched agent's departure reads -1 in the walker's copy, so
+    "matched or departed" is one comparison."""
+
+    __slots__ = ("pop", "walked", "records", "_deps", "_index", "_heads")
+
+    def __init__(self, pop: Population):
+        self.pop = pop
+        self.walked = 0
+        self.records = (array("q"), array("q"))
+        # per type, each serial's departure and arrival index, then a sentinel
+        # serial that departs at +inf and that no arrival reaches; arrays take
+        # 8 bytes an agent where lists take 32-36, and the walk is no slower
+        self._deps = [array("d", np.append(d, math.inf).tobytes()) for d in pop.departures]
+        self._index = [array("q", np.append(ix, pop.n_agents).tobytes()) for ix in pop.by_type()]
+        self._heads = [0] * len(pop.arrivals)
+
+    def walk(self, perm: np.ndarray, checks: np.ndarray) -> None:
+        """Walk the next len(perm) arrivals, given their decision blocks.
+        Only those with a passing check enter the loop; an unmatched
+        patient arrival waits past its type's head without a step."""
+        start = self.walked
+        self.walked = start + len(perm)
+        tries = checks.sum(axis=1)
+        rows = np.flatnonzero(tries)
+        ends = np.cumsum(tries[rows]).tolist()
+        candidates = perm[checks].tolist()  # row-major: each row's in order
+        at = rows + start
+        pop = self.pop
+        deps, index, heads = self._deps, self._index, self._heads
+        arriver, partner = (r.append for r in self.records)
+        for g, t, y, s, lo, hi in zip(
+            at.tolist(), pop.order_times[at].tolist(), pop.order_types[at].tolist(),
+            pop.order_serials[at].tolist(), [0] + ends, ends,
+        ):
+            for x in candidates[lo:hi]:
+                ix = index[x]
+                h = heads[x]
+                if ix[h] >= g:
+                    continue  # nothing of x arrived since its head
+                dx = deps[x]
+                while dx[h] <= t:  # the sentinel departs at +inf
+                    h += 1
+                if ix[h] < g:
+                    heads[x] = h + 1
+                    dx[h] = deps[y][s] = -1.0
+                    arriver(g)
+                    partner(ix[h])
+                    break
+                heads[x] = h
 
 
-def _greedy_walks(instance: MarketInstance, pop: Population) -> Iterator[list[list[int]]]:
-    """Per chunk of _CHUNK arrivals, per arrival of type y, the types x
-    with v_xy > 0 by descending value, ties to the lower id: the
-    preference order of the scalar greedy_step in tests/oracles.py."""
+def _run_greedy(instance: MarketInstance, pop: Population) -> tuple[array, ...]:
+    """Greedy's walk, records as in _Walker: an arrival of type y matches
+    the FIFO-oldest waiting agent of the first type x with v_xy > 0, by
+    descending v_xy, ties to the lower id (the scalar greedy_step in
+    tests/oracles.py); queues drop departed heads as a walk meets them."""
     values = instance.values.dense()
     n = instance.n_types
     by_type = [
         sorted((x for x in range(n) if values[x][y] > 0.0), key=lambda x: (-values[x][y], x))
         for y in range(n)
     ]
-    types = pop.order_types
-    for start in range(0, pop.n_agents, _CHUNK):
-        yield list(map(by_type.__getitem__, types[start : start + _CHUNK].tolist()))
-
-
-class _Walker:
-    """The engine loop, and what it carries from one chunk of arrivals to
-    the next: the FIFO queues of waiting serials per type, the matched
-    flags per type and serial, the match records (arriver in slot b) and
-    the number of arrivals walked."""
-
-    __slots__ = ("pop", "walked", "records", "matched", "_deps", "_values", "_queues")
-
-    def __init__(self, instance: MarketInstance, pop: Population):
-        self.pop = pop
-        self.walked = 0
-        self.records: list[_MatchRecord] = []
-        self.matched = [bytearray(len(a)) for a in pop.arrivals]
-        self._deps = [d.tolist() for d in pop.departures]
-        self._values = instance.values.dense()
-        self._queues: list[deque[int]] = [deque() for _ in range(instance.n_types)]
-
-    def walk(self, walks: Sequence[Sequence[int]]) -> None:
-        """Walk the next len(walks) arrivals: arrival i tries the types of
-        its walk in order and matches the FIFO-oldest available agent of
-        the first that has one; an unmatched patient arrival joins its
-        type's queue. Queues are purged lazily, dropping departed heads as
-        a walk meets them."""
-        start = self.walked
-        end = self.walked = start + len(walks)
-        pop = self.pop
-        matched, records, deps = self.matched, self.records, self._deps
-        values, queues = self._values, self._queues
-        arrivals = zip(
-            pop.order_times[start:end].tolist(),
+    dep = pop.agents()[3].tolist()
+    queues: list[deque[int]] = [deque() for _ in range(n)]  # arrival indices
+    records = (array("q"), array("q"))
+    arriver, partner = (r.append for r in records)
+    for start in range(0, pop.n_agents, _CHUNK):  # whole-run lists would raise the peak
+        end = start + _CHUNK
+        for g, t, y in zip(
+            range(start, end), pop.order_times[start:end].tolist(),
             pop.order_types[start:end].tolist(),
-            pop.order_serials[start:end].tolist(),
-            walks,
-        )
-        for t, y, s, walk in arrivals:
-            found = -1
-            for x in walk:
+        ):
+            for x in by_type[y]:
                 q = queues[x]
-                dx = deps[x]
                 while q:
-                    cs = q.popleft()
-                    if dx[cs] > t:
-                        found = cs
+                    found = q.popleft()
+                    if dep[found] > t:
                         break
-                if found >= 0:
-                    break
-            if found >= 0:
-                matched[x][found] = 1
-                matched[y][s] = 1
-                # the partner is earlier in (time, type, serial) order: slot a
-                records.append((t, x, found, y, s, values[x][y]))
-            elif deps[y][s] > t:
-                queues[y].append(s)
+                else:
+                    continue
+                arriver(g)
+                partner(found)
+                break
+            else:
+                if dep[g] > t:
+                    queues[y].append(g)
+    return records
+
+
+def _walk_matches(pop: Population, records: tuple[array, ...]) -> tuple[np.ndarray, ...]:
+    """Walk records as match columns (time, earlier agent, later agent)."""
+    g, p = (np.frombuffer(r, dtype=np.int64) for r in records)
+    return pop.order_times[g], p, g
 
 
 def _run_clearing(
     instance: MarketInstance, policy: PolicyConfig, pop: Population
-) -> tuple[list[_MatchRecord], list[bytearray]]:
+) -> tuple[np.ndarray, ...]:
     """Periodic clearing, one clear time at a time. The pool at clear time
     t_c is every unmatched agent that arrived before t_c and departs after
     it: a departure at t_c goes first, then the clear, then an arrival at
-    t_c. Pools with the same types get the same index pairs, so the
-    matcher runs once per distinct pool of the run."""
+    t_c. A pool's plan depends only on its count vector (agents per type),
+    so the matcher runs once per distinct count vector of the run, on one
+    table of optimal values per component shared by all of them."""
     from .hindsight import MatchingTooLargeError, max_weight_pool  # hindsight imports us
 
     period = policy.clear_period
     times = period * np.arange(1, int(pop.horizon / period) + 2)
     times = times[times <= pop.horizon]
     values = instance.values.dense()
-    arr = [a.tolist() for a in pop.arrivals]
-    dep = [d.tolist() for d in pop.departures]
-    # per type, the serials still present at the first clear after their
-    # arrival, and how many of those have joined a pool by each clear
+    dep = pop.agents()[3].tolist()
+    # per type, the agents (by arrival index) still present at the first
+    # clear after their arrival, and how many of them have joined by each clear
     joins, joined = [], []
-    for a, d in zip(pop.arrivals, pop.departures):
+    for a, d, index in zip(pop.arrivals, pop.departures, pop.by_type()):
         first = np.searchsorted(times, a, "right")
         stays = first < len(times)
         stays[stays] = d[stays] > times[first[stays]]
-        joins.append(np.flatnonzero(stays).tolist())
+        joins.append(index[stays].tolist())
         joined.append(np.searchsorted(first[stays], np.arange(len(times)), "right").tolist())
-    matched = [bytearray(len(a)) for a in pop.arrivals]
-    records: list[_MatchRecord] = []
+    records = (array("q"), array("q"), array("q"))  # the clear's index, both agents
+    clear, agent_a, agent_b = (r.append for r in records)
     state = MarketState(instance.n_types)
     waiting = state.waiting
-    plans: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    # per count vector: its pairs (x, rank in x's run, y, rank in y's run)
+    # and the (type, rank) of every matched agent, ranks descending
+    plans: dict[tuple[int, ...], tuple[list, list]] = {}
+    tables: dict = {}
     begin = [0] * instance.n_types
     for c, tc in enumerate(times.tolist()):
         for x, w in enumerate(waiting):
-            if w:  # drop the agents matched or departed since the last clear
-                dx, mx = dep[x], matched[x]
-                w[:] = [s for s in w if dx[s] > tc and not mx[s]]
+            if w:  # drop the agents departed since the last clear
+                w[:] = [g for g in w if dep[g] > tc]
             end = joined[x][c]
             if end > begin[x]:
                 w += joins[x][begin[x]:end]
                 begin[x] = end
-        pool = state.snapshot_available()
-        pairs = plans.get(pool)
-        if pairs is None:
+        counts = tuple(map(len, waiting))
+        plan = plans.get(counts)
+        if plan is None:
+            pool = state.snapshot_available()
             try:
-                pairs = plans[pool] = max_weight_pool(pool, values)
+                pairs = max_weight_pool(pool, values, tables)
             except MatchingTooLargeError as err:
                 raise MatchingTooLargeError(f"{err} at clear time {tc!r}") from None
-        if not pairs:
-            continue
-        serials = [s for w in waiting for s in w]
-        for i, j in pairs:
-            xa, sa, xb, sb = pool[i], serials[i], pool[j], serials[j]
-            matched[xa][sa] = matched[xb][sb] = 1
-            records.append(_ordered_pair(
-                tc, arr[xa][sa], xa, sa, arr[xb][sb], xb, sb, values[xa][xb]
-            ))
-    return records, matched
+            rank = [i - pool.index(x) for i, x in enumerate(pool)]
+            plan = plans[counts] = (
+                [(pool[i], rank[i], pool[j], rank[j]) for i, j in pairs],
+                sorted(((pool[i], rank[i]) for pair in pairs for i in pair), key=lambda d: -d[1]),
+            )
+        pairs, drops = plan
+        for xa, ra, xb, rb in pairs:
+            clear(c)
+            agent_a(waiting[xa][ra])
+            agent_b(waiting[xb][rb])
+        for x, r in drops:
+            del waiting[x][r]
+    c, a, b = (np.frombuffer(r, dtype=np.int64) for r in records)
+    return times[c], np.minimum(a, b), np.maximum(a, b)
 
 
 def _build_outputs(
-    instance: MarketInstance,
-    policy: PolicyConfig,
-    pop: Population,
-    records: list[_MatchRecord],
-    matched: list[bytearray],
-    horizon: float,
-    burn_in: float,
-    seed: int,
-    record_trace: bool,
+    instance: MarketInstance, policy: PolicyConfig, pop: Population,
+    matches: tuple[np.ndarray, ...], horizon: float, burn_in: float, seed: int, record_trace: bool,
 ) -> tuple[EventTrace | None, SimulationReport]:
+    """The report and, if record_trace, the trace of a run, from its match
+    columns in any order: the time, then the arrival indices of the
+    earlier and the later agent."""
     n = instance.n_types
-    records = sorted(records)  # no two records share (time, a, b)
+    values = np.array(instance.values.dense(), dtype=np.float64).reshape(n, n)
+    t, a, b = matches
+    ax, asr = pop.order_types[a], pop.order_serials[a]
+    bx, bsr = pop.order_types[b], pop.order_serials[b]
+    # the records in (time, a, b) order, which no two of them share
+    order = np.lexsort((bsr, bx, asr, ax, t))
+    t, a, b, ax, asr, bx, bsr = (c[order] for c in (t, a, b, ax, asr, bx, bsr))
+    v = values[ax, bx]
 
     window = horizon - burn_in
-    counts = [[0] * n for _ in range(n)]
-    total_value = 0.0
-    match_count = 0
-    for t, ax, asr, bx, bsr, v in records:
-        if t > burn_in:
-            counts[ax][bx] += 1
-            total_value += v
-            match_count += 1
-    rates = tuple(
-        tuple(c / window if window > 0 else 0.0 for c in row) for row in counts
-    )
+    counted = t > burn_in
+    counts = np.zeros((n, n), dtype=np.int64)
+    np.add.at(counts, (ax[counted], bx[counted]), 1)
+    match_count = int(counted.sum())
+    # summed in record order, one addition at a time, as a running total
+    total_value = float(np.cumsum(v[counted])[-1]) if match_count else 0.0
+    rates = tuple(tuple(c / window if window > 0 else 0.0 for c in row) for row in counts.tolist())
 
     report = SimulationReport(
         policy=policy.describe(),
@@ -745,7 +754,7 @@ def _build_outputs(
         match_count=match_count,
         total_value=total_value,
         avg_value_per_time=total_value / window if window > 0 else 0.0,
-        pair_match_counts=tuple(tuple(row) for row in counts),
+        pair_match_counts=tuple(map(tuple, counts.tolist())),
         pair_match_rates=rates,
         presence_frequency=_presence_from_population(pop, burn_in, horizon),
     )
@@ -755,45 +764,28 @@ def _build_outputs(
 
     # one row per arrival, per departure up to the horizon, per match
     types, serials, arr, dep = pop.agents()
-    flags = np.frombuffer(b"".join(matched), dtype=np.uint8).astype(bool)
+    flags = np.zeros(len(arr), dtype=bool)
+    flags[a] = flags[b] = True
     leaving = dep <= horizon
-    rec = np.array(records, dtype=np.float64).reshape(-1, 6)
     n_dep = int(leaving.sum())
     no_agent = np.full(len(arr) + n_dep, -1)
-    trace = _trace_of_rows(
-        np.concatenate((arr, dep[leaving], rec[:, 0])),
-        np.repeat([ARRIVAL, DEPARTURE, MATCH], [len(arr), n_dep, len(rec)]),
-        np.concatenate((types, types[leaving], rec[:, 1])),
-        np.concatenate((serials, serials[leaving], rec[:, 2])),
-        np.concatenate((no_agent, rec[:, 3])),
-        np.concatenate((no_agent, rec[:, 4])),
-        np.concatenate((np.zeros(len(arr) + n_dep), rec[:, 5])),
-        np.concatenate((np.zeros(len(arr), dtype=bool), flags[leaving],
-                        np.zeros(len(rec), dtype=bool))),
-        horizon, burn_in, seed,
+    rows = dict(
+        time=np.concatenate((arr, dep[leaving], t)),
+        kind=np.repeat(np.array([ARRIVAL, DEPARTURE, MATCH], dtype=np.int8),
+                       [len(arr), n_dep, len(t)]),
+        a_type=np.concatenate((types, types[leaving], ax)),
+        a_serial=np.concatenate((serials, serials[leaving], asr)),
+        b_type=np.concatenate((no_agent, bx)),
+        b_serial=np.concatenate((no_agent, bsr)),
+        value=np.concatenate((np.zeros(len(arr) + n_dep), v)),
+        matched=np.concatenate((np.zeros(len(arr), dtype=bool), flags[leaving],
+                                np.zeros(len(t), dtype=bool))),
     )
+    keys = ("b_serial", "b_type", "a_serial", "a_type", "kind", "time")  # last is primary
+    order = np.lexsort([rows[k] for k in keys])
+    trace = EventTrace(**{k: c[order] for k, c in rows.items()},
+                       horizon=horizon, burn_in=burn_in, seed=seed)
     return trace, report
-
-
-def _trace_of_rows(
-    time, kind, a_type, a_serial, b_type, b_serial, value, matched,
-    horizon: float, burn_in: float, seed: int,
-) -> EventTrace:
-    """A trace of the given rows, typed and sorted into trace order."""
-    order = np.lexsort((b_serial, b_type, a_serial, a_type, kind, time))
-    return EventTrace(
-        time=np.asarray(time, dtype=np.float64)[order],
-        kind=np.asarray(kind, dtype=np.int8)[order],
-        a_type=np.asarray(a_type, dtype=np.int64)[order],
-        a_serial=np.asarray(a_serial, dtype=np.int64)[order],
-        b_type=np.asarray(b_type, dtype=np.int64)[order],
-        b_serial=np.asarray(b_serial, dtype=np.int64)[order],
-        value=np.asarray(value, dtype=np.float64)[order],
-        matched=np.asarray(matched, dtype=bool)[order],
-        horizon=horizon,
-        burn_in=burn_in,
-        seed=seed,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,9 @@ DP per connected component that max_weight_matching_exact ran before its
 arrival-order sweep, the trace walks over event objects one at a time,
 periodic clearing walked over arrivals with the bitmask DP as its pool
 matcher, the scalar step functions of the random-order and greedy
-policies with their one-draw-at-a-time Fisher-Yates shuffle, and the
+policies with their one-draw-at-a-time Fisher-Yates shuffle, the
 random-order policy's decision blocks evaluated for a whole run in one
-pass.
+pass, and the walk loop over FIFO deques with one tuple per match.
 """
 
 from __future__ import annotations
@@ -703,13 +703,19 @@ def periodic_clear(
     return applied
 
 
+def ordered_pair(t, ta, xa, sa, tb, xb, sb, v):
+    """The match record (time, a_type, a_serial, b_type, b_serial, value)
+    of two agents, the earlier arrival by (time, type, serial) in slot a."""
+    if (ta, xa, sa) <= (tb, xb, sb):
+        return (t, xa, sa, xb, sb, v)
+    return (t, xb, sb, xa, sa, v)
+
+
 def clearing_by_arrivals(instance, period, pop, exact_threshold=20):
     """Periodic clearing's match records (time, a_type, a_serial, b_type,
     b_serial, value), earlier arrival in slot a, in the order made: arrivals
     only queue up; matches happen at clear times, on the pool of available
     agents."""
-    from dynmatch.simulate import _ordered_pair
-
     records = []
     state = MarketState(instance, pop)
     values = instance.values
@@ -724,7 +730,7 @@ def clearing_by_arrivals(instance, period, pop, exact_threshold=20):
         state.set_clock(tc)
         for a, b, v in periodic_clear(state, values, max_weight_pool, exact_threshold):
             records.append(
-                _ordered_pair(
+                ordered_pair(
                     tc,
                     state.arrival_time(a), a.type_id, a.serial,
                     state.arrival_time(b), b.type_id, b.serial,
@@ -900,3 +906,77 @@ def decision_blocks_at_once(instance, policy, solution, pop, seed):
     ) * 2.0 ** -53
     checks = uniforms <= probs[perm, pop.order_types[:, None]]
     return perm, checks
+
+
+# ---------------------------------------------------------------------------
+# The engine's walk loop before head pointers and match columns: every
+# arrival walks a list of candidate types over FIFO deques of waiting
+# serials, and each match is one tuple. Kept as the reference for the
+# random-order walk and for greedy's.
+
+
+def candidate_walks(perm, checks):
+    """Per arrival of a block, the types whose check passed, in
+    permutation order."""
+    offsets = np.concatenate(([0], np.cumsum(checks.sum(axis=1)))).tolist()
+    candidates = perm[np.nonzero(checks)].tolist()
+    return list(map(candidates.__getitem__, map(slice, offsets, offsets[1:])))
+
+
+def greedy_walks(instance, pop):
+    """Per arrival of type y, the types x with v_xy > 0 by descending
+    value, ties to the lower id."""
+    values = instance.values.dense()
+    n = instance.n_types
+    by_type = [
+        sorted((x for x in range(n) if values[x][y] > 0.0), key=lambda x: (-values[x][y], x))
+        for y in range(n)
+    ]
+    return [by_type[y] for y in pop.order_types.tolist()]
+
+
+class DequeWalker:
+    """The walk loop with its state: FIFO queues of waiting serials per
+    type, the match records (time, a_type, a_serial, b_type, b_serial,
+    value), arriver in slot b, and the number of arrivals walked."""
+
+    def __init__(self, instance, pop):
+        self.pop = pop
+        self.walked = 0
+        self.records = []
+        self._deps = [d.tolist() for d in pop.departures]
+        self._values = instance.values.dense()
+        self._queues = [deque() for _ in range(instance.n_types)]
+
+    def walk(self, walks):
+        """Walk the next len(walks) arrivals: arrival i tries the types of
+        its walk in order and matches the FIFO-oldest available agent of
+        the first that has one; an unmatched patient arrival joins its
+        type's queue. Queues drop departed heads as a walk meets them."""
+        start = self.walked
+        end = self.walked = start + len(walks)
+        pop = self.pop
+        records, deps = self.records, self._deps
+        values, queues = self._values, self._queues
+        arrivals = zip(
+            pop.order_times[start:end].tolist(),
+            pop.order_types[start:end].tolist(),
+            pop.order_serials[start:end].tolist(),
+            walks,
+        )
+        for t, y, s, walk in arrivals:
+            found = -1
+            for x in walk:
+                q = queues[x]
+                dx = deps[x]
+                while q:
+                    cs = q.popleft()
+                    if dx[cs] > t:
+                        found = cs
+                        break
+                if found >= 0:
+                    break
+            if found >= 0:
+                records.append((t, x, found, y, s, values[x][y]))
+            elif deps[y][s] > t:
+                queues[y].append(s)

@@ -215,8 +215,9 @@ def test_criterion_6_sandwich(capsys):
         sol = solve_upper_bound(inst)
         master = derive_seed(61, k)
         for h in rungs:
-            # largest overlap component across this seeded sweep is 39 nodes;
-            # components stay small because hindsight_scale caps total load
+            # exact_threshold bounds the sweep's frontier (agents open at
+            # once); the widest across this seeded sweep is 9 nodes, narrow
+            # because hindsight_scale caps total load
             hind_mean, hind_se = hindsight_value_estimate(
                 inst, h, reps, master, exact_threshold=48
             )

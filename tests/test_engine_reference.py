@@ -30,11 +30,19 @@ from dynmatch import (
     solve_upper_bound,
 )
 from dynmatch.diagnostics import MarkerEvents, _event_counters
-from dynmatch.simulate import Population
+from dynmatch.simulate import DecidedRun, Population
 
 from golden.capture import counters_doc
-from helpers import make_instance
-from oracles import clearing_by_arrivals, greedy_step, online_match_step
+from helpers import fixed_suite, make_instance
+from oracles import (
+    DequeWalker,
+    candidate_walks,
+    clearing_by_arrivals,
+    decision_blocks_at_once,
+    greedy_step,
+    greedy_walks,
+    online_match_step,
+)
 
 
 class ListState:
@@ -296,3 +304,80 @@ def test_clearing_ties_follow_the_arrival_walk(seed, monkeypatch):
     policy = PolicyConfig(kind=PolicyKind.PERIODIC_CLEAR, clear_period=period)
     expected = clearing_records(instance, pop, period)
     assert engine_records(instance, policy, None, horizon, seed) == expected
+
+
+# ---------------------------------------------------------------------------
+# The walk loops against the deque walker they replaced (oracles.DequeWalker):
+# the same records in the order made, with the arrivals handed over one,
+# seven or a default chunk at a time.
+
+WALK_CHUNKS = [1, 7, 4096]
+PREFIX = 3000
+
+
+def as_tuples(pop, values, records):
+    """Walk records (arrival indices of arriver and partner) as the deque
+    walker's tuples, arriver in slot b."""
+    times, types, serials = (c.tolist() for c in (pop.order_times, pop.order_types,
+                                                  pop.order_serials))
+    return [(times[g], types[p], serials[p], types[g], serials[g], values[types[p]][types[g]])
+            for g, p in zip(*(np.asarray(r).tolist() for r in records))]
+
+
+def check_walks(instance, pop, seed, gamma, monkeypatch):
+    # one arrival per call spends its time in numpy calls, so at size 1 the
+    # random-order walk covers the first PREFIX arrivals only
+    values = instance.values.dense()
+    solution = solve_upper_bound(instance)
+    policy = PolicyConfig(kind=PolicyKind.ONLINE_MATCH, gamma=gamma)
+    perm, checks = decision_blocks_at_once(instance, policy, solution, pop, seed)
+    walks = candidate_walks(perm, checks)
+    online, greedy = DequeWalker(instance, pop), DequeWalker(instance, pop)
+    online.walk(walks[:PREFIX])
+    made = len(online.records)
+    online.walk(walks[PREFIX:])
+    greedy.walk(greedy_walks(instance, pop))
+    for size in WALK_CHUNKS:
+        end = PREFIX if size == 1 else pop.n_agents
+        walker = simulate._Walker(pop)
+        for start in range(0, end, size):
+            block = slice(start, min(start + size, end))
+            walker.walk(perm[block], checks[block])
+        want = online.records[:made] if size == 1 else online.records
+        assert as_tuples(pop, values, walker.records) == want
+        monkeypatch.setattr(simulate, "_CHUNK", size)
+        assert as_tuples(pop, values, simulate._run_greedy(instance, pop)) == greedy.records
+    return len(online.records), len(greedy.records)
+
+
+@pytest.mark.parametrize("k", range(10))
+def test_walks_equal_the_deque_walker_on_the_suite(k, monkeypatch):
+    # criterion 5's markets and first seeds, a tenth of its horizon
+    instance = fixed_suite()[k]
+    seed = derive_seed(9105, k, 0)
+    pop = generate_population(instance, 1e4, seed)
+    assert min(check_walks(instance, pop, seed, 0.5, monkeypatch)) > 1000
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_walks_equal_the_deque_walker_on_lattices(seed, monkeypatch):
+    rng = random.Random(5000 + seed)
+    instance = tied_instance(rng, rng.randint(1, 4))
+    pop = lattice_population(instance, 30.0, rng)
+    check_walks(instance, pop, seed, rng.choice([0.5, 0.75, 1.0]), monkeypatch)
+
+
+@pytest.mark.parametrize("size", WALK_CHUNKS)
+def test_decided_run_yields_the_deque_walkers_records(size, monkeypatch):
+    monkeypatch.setattr(simulate, "_CHUNK", size)
+    instance = fixed_suite()[9]
+    solution = solve_upper_bound(instance)
+    run = DecidedRun(instance, solution, 0.5, horizon=300.0, seed=derive_seed(9105, 9, 1))
+    values = instance.values.dense()
+    oracle = DequeWalker(instance, run.pop)
+    for start, perm, checks, records in run:
+        assert start == oracle.walked and len(perm) == min(size, run.pop.n_agents - start)
+        made = len(oracle.records)
+        oracle.walk(candidate_walks(perm, checks))
+        assert as_tuples(run.pop, values, records) == oracle.records[made:]
+    assert oracle.walked == run.pop.n_agents and len(oracle.records) > 100

@@ -412,6 +412,83 @@ class TestPoolMatcher:
             )
 
 
+def pool_components(pool, values):
+    """The types present in the pool, split into connected components."""
+    present = sorted(set(pool))
+    linked = [[j for j, y in enumerate(present) if y != x and values[x][y] > 0.0]
+              for x in present]
+    return [[present[k] for k in comp] for comp in hindsight._components(len(present), linked)]
+
+
+def component_states(pool, values):
+    """The most count vectors of any component of the pool: the product of
+    count + 1 over the component's types."""
+    return max((math.prod(pool.count(x) + 1 for x in comp)
+                for comp in pool_components(pool, values)), default=1)
+
+
+def pairs_or_raises(pool, values, tables=None):
+    try:
+        return max_weight_pool(pool, values, tables)
+    except MatchingTooLargeError:
+        return "raises"
+
+
+class TestSharedTables:
+    """Periodic clearing shares one table of optimal values per component
+    across the pools of a run. Each pool's pairs, and whether it raises,
+    must be those of the pool matched alone."""
+
+    def test_pairs_equal_each_pool_matched_alone(self, monkeypatch):
+        seen = []
+        inner = hindsight.max_weight_pool
+
+        def spy(pool, values, tables=None):
+            pairs = inner(pool, values, tables)
+            seen.append((pool, values, pairs, tables))
+            return pairs
+
+        monkeypatch.setattr(hindsight, "max_weight_pool", spy)
+        markets = [random_instance(random.Random(8000 + k), random.Random(k).randint(2, 5),
+                                   allow_impatient=True) for k in range(12)]
+        # two pairs of types that never match across: pools of two components
+        markets.append(make_instance(
+            [("a", 1.0, 0.4), ("b", 0.8, 0.5), ("c", 1.2, 0.3), ("d", 0.6, 0.6), ("e", 1.0, None)],
+            {(0, 0): 0.3, (0, 1): 1.0, (2, 3): 0.7, (3, 3): 0.2, (1, 4): 0.5},
+        ))
+        for k, inst in enumerate(markets):
+            period = (1.0, 2.0, 4.0)[k % 3]
+            policy = PolicyConfig(kind=PolicyKind.PERIODIC_CLEAR, clear_period=period)
+            run_simulation(inst, policy, horizon=300.0, seed=k, record_trace=False)
+        assert len(seen) > 500
+        # one set of tables per run, held alive here so that ids stay distinct
+        assert len({id(tables) for *_, tables in seen}) == len(markets)
+        split = 0
+        for pool, values, pairs, _ in seen:
+            assert pairs == inner(pool, values)
+            split += len(pool_components(pool, values)) > 1
+        assert split > 50
+
+    def test_a_filled_table_raises_only_where_the_pool_alone_does(self, monkeypatch):
+        rng = random.Random(81)
+        raised = passed_over_budget = 0
+        for budget in (8, 20, 50, 120):
+            monkeypatch.setattr(hindsight, "POOL_STATE_BUDGET", budget)
+            for _ in range(40):
+                n_types = rng.randint(1, 4)
+                values = pool_values(rng, n_types)
+                tables: dict = {}
+                # growing pools: the earlier ones fill the tables the later read
+                for size in sorted(rng.randint(0, 16) for _ in range(12)):
+                    pool = random_pool(rng, n_types, size)
+                    alone = pairs_or_raises(pool, values)
+                    assert pairs_or_raises(pool, values, tables) == alone
+                    raised += alone == "raises"
+                    big = component_states(pool, values) > budget
+                    passed_over_budget += alone != "raises" and big
+        assert raised > 20 and passed_over_budget > 20
+
+
 class TestHindsightEstimate:
     def small_instance(self):
         return make_instance(

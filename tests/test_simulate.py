@@ -23,6 +23,7 @@ from dynmatch import (
     PolicyKind,
     estimate_rates,
     generate_population,
+    instrument_z_events,
     presence_frequency,
     read_trace_csv,
     replay_check,
@@ -33,7 +34,7 @@ from dynmatch import (
     write_trace_csv,
 )
 from dynmatch.market import pressure
-from dynmatch.simulate import ArrivalEvent, DepartureEvent, MatchEvent
+from dynmatch.simulate import ArrivalEvent, DecidedRun, DepartureEvent, MatchEvent
 
 from golden.capture import POLICIES, POLICY_RUNS, policy_case
 from helpers import (
@@ -43,6 +44,7 @@ from helpers import (
     random_instance,
     trace_of_events,
 )
+import oracles
 
 ONLINE = PolicyConfig(kind=PolicyKind.ONLINE_MATCH, gamma=0.5)
 GREEDY = PolicyConfig(kind=PolicyKind.GREEDY)
@@ -312,6 +314,68 @@ class TestTraceCsv:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+class TestBenchHooks:
+    """The benchmark's tracer (bench/ops.py) wraps two names of the
+    simulate module: generate_population, to find the population of each
+    engine run, and MarketState.snapshot_available, to read each clearing
+    run's largest pool. Both must keep seeing what they measure."""
+
+    def test_each_run_draws_its_population_once(self, monkeypatch):
+        calls = []
+        inner = simulate.generate_population
+
+        def counted(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(simulate, "generate_population", counted)
+        inst = mixed_instance()
+        sol = solve_upper_bound(inst)
+        clearing = PolicyConfig(kind=PolicyKind.PERIODIC_CLEAR, clear_period=2.0)
+        for pol in (ONLINE, GREEDY, clearing, NO_OP):
+            for record_trace in (True, False):
+                calls.clear()
+                run_simulation(inst, pol, sol, horizon=100.0, seed=3, record_trace=record_trace)
+                assert len(calls) == 1
+        calls.clear()
+        run = DecidedRun(inst, sol, 0.5, horizon=100.0, seed=3)
+        assert sum(1 for _ in run) > 0 and run.report().match_count > 0
+        assert len(calls) == 1
+        calls.clear()
+        instrument_z_events(inst, sol, 0.5, horizon=100.0, seed=3)
+        assert len(calls) == 1
+
+    def test_snapshots_see_the_largest_pool(self, monkeypatch):
+        sizes: dict[str, list[int]] = {"engine": [], "oracle": []}
+
+        def watch(cls, key):
+            inner = cls.snapshot_available
+
+            def snapshot(state):
+                pool = inner(state)
+                sizes[key].append(len(pool))
+                return pool
+
+            monkeypatch.setattr(cls, "snapshot_available", snapshot)
+
+        watch(simulate.MarketState, "engine")
+        watch(oracles.MarketState, "oracle")
+        largest = []
+        for seed in range(8):
+            rng = random.Random(900 + seed)
+            inst = random_instance(rng, rng.randint(1, 4), allow_impatient=True)
+            period = rng.choice([1.0, 2.0, 3.0])
+            for seen in sizes.values():
+                seen.clear()
+            policy = PolicyConfig(kind=PolicyKind.PERIODIC_CLEAR, clear_period=period)
+            run_simulation(inst, policy, horizon=150.0, seed=seed, record_trace=False)
+            pop = generate_population(inst, 150.0, seed)
+            oracles.clearing_by_arrivals(inst, period, pop, exact_threshold=math.inf)
+            assert max(sizes["engine"]) == max(sizes["oracle"])
+            largest.append(max(sizes["engine"]))
+        assert sorted(largest)[2] >= 4, largest
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000), st.sampled_from(["online", "greedy", "periodic"]))
 def test_every_run_replays_clean(seed, kind):
@@ -331,15 +395,21 @@ def test_every_run_replays_clean(seed, kind):
 
 
 def test_plain_record_sort_keeps_the_keyed_order(monkeypatch):
-    # _build_outputs sorts match records as plain tuples; no two records
-    # share (time, a, b), so the value never decides and the order is the
-    # one a key on the first five fields gives
+    # _build_outputs orders the match columns by one np.lexsort on (time,
+    # a_type, a_serial, b_type, b_serial); no two records share those five,
+    # so the order is the one a plain sort of the (time, a, b, value)
+    # tuples gives, which is how the records were ordered as tuples
     seen = []
     build = simulate._build_outputs
 
-    def spy(instance, policy, pop, records, *rest):
-        seen.append(list(records))
-        return build(instance, policy, pop, records, *rest)
+    def spy(instance, policy, pop, matches, *rest):
+        n = instance.n_types
+        values = np.array(instance.values.dense()).reshape(n, n)
+        t, a, b = matches
+        ax, bx = pop.order_types[a], pop.order_types[b]
+        columns = (t, ax, pop.order_serials[a], bx, pop.order_serials[b], values[ax, bx])
+        seen.append([c.tolist() for c in columns])
+        return build(instance, policy, pop, matches, *rest)
 
     monkeypatch.setattr(simulate, "_build_outputs", spy)
     for market, horizon, seed in POLICY_RUNS:
@@ -352,10 +422,12 @@ def test_plain_record_sort_keeps_the_keyed_order(monkeypatch):
                          (PolicyConfig(kind=PolicyKind.PERIODIC_CLEAR, clear_period=3.0), None)):
             run_simulation(inst, pol, sol, horizon=100.0, seed=seed)
     assert len(seen) == len(POLICY_RUNS) * len(POLICIES) + 60
-    assert sum(map(len, seen)) > 1000
-    for records in seen:
+    assert sum(len(columns[0]) for columns in seen) > 1000
+    for columns in seen:
+        records = list(zip(*columns))
         assert len({r[:5] for r in records}) == len(records)
-        assert sorted(records) == sorted(records, key=lambda r: r[:5])
+        order = np.lexsort(columns[4::-1]).tolist()
+        assert [records[i] for i in order] == sorted(records)
 
 
 CLEARING_RUN = """
