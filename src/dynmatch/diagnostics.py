@@ -284,7 +284,7 @@ def _event_counters(
             inbound_rate, sole_rate = 0.0, None
         else:
             boost = max(1.0, t.departure_rate / t.arrival_rate)
-            inbound_rate = gamma * boost * sum(
+            inbound_rate = gamma * boost * _sum_in_order(
                 instance.types[y].arrival_rate * alpha[x][y] for y in range(n)
             )
             sole_rate = t.departure_rate
@@ -406,6 +406,16 @@ def instrument_z_events(
     )
 
 
+def _sum_in_order(values: Iterable[float]) -> float:
+    """The sum of values, added left to right. Builtin sum compensates the
+    rounding of float items from Python 3.12 on; this keeps the result the
+    same on every version."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def _by_key(keys: np.ndarray, values: np.ndarray, size: int) -> list[np.ndarray]:
     """values split by their integer keys in [0, size): one array per key,
     each in the values' order."""
@@ -436,7 +446,7 @@ def merge_counters(parts: list[EventCounters]) -> EventCounters:
     for c in parts[1:]:
         if c.n_types != n or c.gamma != first.gamma:
             raise ValueError("counters disagree on shape or gamma")
-    total_h = sum(c.horizon for c in parts)
+    total_h = _sum_in_order(c.horizon for c in parts)
 
     def cat_type(get) -> tuple[np.ndarray, ...]:
         return tuple(
@@ -473,7 +483,7 @@ def merge_counters(parts: list[EventCounters]) -> EventCounters:
         },
         pair_match_counts=pair_counts,
         waiting_fraction=tuple(
-            sum(c.waiting_fraction[x] * c.horizon for c in parts) / total_h
+            _sum_in_order(c.waiting_fraction[x] * c.horizon for c in parts) / total_h
             for x in range(n)
         ),
         waiting_batches=tuple(
@@ -624,7 +634,7 @@ def check_rate_bounds(
             )
             continue
         boost = max(1.0, t.departure_rate / t.arrival_rate)
-        inbound_target = gamma * boost * sum(
+        inbound_target = gamma * boost * _sum_in_order(
             instance.types[y].arrival_rate * float(alpha[x][y]) for y in range(n)
         )
         rows.append(

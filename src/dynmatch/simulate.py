@@ -57,6 +57,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .lp import LpSolution
 from .market import AgentId, MarketInstance, validate_instance
@@ -877,15 +878,16 @@ def replay_check(trace: EventTrace, instance: MarketInstance) -> list[str]:
                           f"{types[k]}:{serials[k]} {text}"))
     for i in np.flatnonzero(t < np.concatenate(([0.0], t[:-1]))).tolist():
         found.append((1, i, 0, f"events out of order at t={float(t[i])}"))
-    pairs, pair_of = np.unique(
-        np.stack((trace.a_type[mat], trace.b_type[mat]), axis=1),
-        axis=0, return_inverse=True,
-    )
-    want = [instance.values.get(x, y) for x, y in pairs.tolist()]
-    got = trace.value[mat].tolist()
-    for i, k, v in zip(mat.tolist(), pair_of.reshape(-1).tolist(), got):
-        if want[k] != v:
-            found.append((1, i, 1, f"match value {v} disagrees with the instance ({want[k]})"))
+    # a pair of types outside the value table is worth 0, as values.get says
+    table = np.array(instance.values.dense(), dtype=np.float64)
+    ax, bx = trace.a_type[mat], trace.b_type[mat]
+    known = (ax >= 0) & (ax < len(table)) & (bx >= 0) & (bx < len(table))
+    want = np.zeros(len(mat))
+    want[known] = table[ax[known], bx[known]]
+    got = trace.value[mat]
+    bad = want != got
+    for i, v, w in zip(mat[bad].tolist(), got[bad].tolist(), want[bad].tolist()):
+        found.append((1, i, 1, f"match value {v} disagrees with the instance ({w})"))
     found.sort(key=lambda f: f[:3])
     return [f[3] for f in found]
 
@@ -907,14 +909,14 @@ def write_trace_csv(trace: EventTrace, path: str, policy: str = "") -> None:
     mat = trace.kind == MATCH
     tail = np.full(n, ",,\n", dtype=object)
     tail[mat] = (
-        "," + _int_texts(trace.b_type[mat]) + ":" + _int_texts(trace.b_serial[mat])
-        + "," + _float_texts(trace.value[mat]) + "\n"
+        "," + _texts(trace.b_type[mat]) + ":" + _texts(trace.b_serial[mat])
+        + "," + _texts(trace.value[mat]) + "\n"
     )
     pieces = [":"] * (6 * n)
-    pieces[0::6] = _float_texts(trace.time).tolist()
+    pieces[0::6] = _texts(trace.time).tolist()
     pieces[1::6] = _KIND_FIELDS[trace.kind].tolist()
-    pieces[2::6] = _int_texts(trace.a_type).tolist()
-    pieces[4::6] = _int_texts(trace.a_serial).tolist()
+    pieces[2::6] = _texts(trace.a_type).tolist()
+    pieces[4::6] = _texts(trace.a_serial).tolist()
     pieces[5::6] = tail.tolist()
     with open(path, "w", newline="") as fh:
         fh.write(
@@ -924,59 +926,100 @@ def write_trace_csv(trace: EventTrace, path: str, policy: str = "") -> None:
         fh.write("".join(pieces))
 
 
-def _int_texts(values: np.ndarray) -> np.ndarray:
-    """str() of each integer as an object array, each distinct value
-    formatted once."""
-    distinct, inverse = np.unique(values, return_inverse=True)
-    return np.array(list(map(str, distinct.tolist())), dtype=object)[inverse]
+def _texts(values: np.ndarray) -> np.ndarray:
+    """repr() of each int64 or float64 as an object array, each distinct
+    value formatted once. Floats are told apart by bit pattern, so 0.0
+    and -0.0 keep their own texts."""
+    distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    return np.array(
+        list(map(repr, distinct.view(values.dtype).tolist())), dtype=object
+    )[inverse]
 
 
-def _float_texts(values: np.ndarray) -> np.ndarray:
-    return np.array(list(map(repr, values.tolist())), dtype=object)
+# agent ids longer than this many digits are refused (10**18 - 1 < 2**63)
+_MAX_DIGITS = 18
+# float fields up to this many bytes go through the one fixed-width cast
+# (repr() of a float64 takes at most 24)
+_FLOAT_WIDTH = 32
 
 
 def read_trace_csv(path: str) -> tuple[EventTrace, dict]:
     """Inverse of write_trace_csv; rows keep their file order. Departure
     matched-flags are rebuilt from the match rows (a match always precedes
-    its agents' departure rows)."""
-    with open(path) as fh:
-        header = fh.readline().rstrip("\n")
-        if not header.startswith(f"# {TRACE_SCHEMA} "):
-            raise ValueError(f"not a {TRACE_SCHEMA} file: {path}")
-        meta: dict = {}
-        for part in header[len(f"# {TRACE_SCHEMA} ") :].split():
-            key, _, val = part.partition("=")
-            meta[key] = val
-        columns = fh.readline().rstrip("\n")
-        if columns != _COLUMNS:
-            raise ValueError(f"unexpected column header: {columns}")
-        body = fh.read()
-    n = body.count("\n") + (not body.endswith("\n")) if body else 0
-    fields = _split_fields(body.removesuffix("\n"), n, 5, "\n", ",", "malformed trace row")
-    names = np.array(fields[1::5], dtype=str)
+    its agents' departure rows).
+
+    The file is read as bytes, with line ends as text mode reads them
+    (CR LF and a lone CR each end a line). The body is parsed as one
+    numpy byte buffer: rows and fields are cut at the positions of
+    newlines and commas, an event kind is matched on its bytes, an agent
+    id is two runs of ASCII digits around one colon, and the time and
+    value fields are cast from fixed-width bytes, which parses each as
+    float() parses bytes. Unlike int() and float() on text, the reader
+    refuses a row holding a NUL or non-ASCII byte (in any field) and an
+    agent id with a sign, blanks, underscores or more than 18 digits.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    header, columns, body = (data.split(b"\n", 2) + [b"", b""])[:3]
+    header = header.decode()
+    if not header.startswith(f"# {TRACE_SCHEMA} "):
+        raise ValueError(f"not a {TRACE_SCHEMA} file: {path}")
+    meta: dict = {}
+    for part in header[len(f"# {TRACE_SCHEMA} ") :].split():
+        key, _, val = part.partition("=")
+        meta[key] = val
+    columns = columns.decode()
+    if columns != _COLUMNS:
+        raise ValueError(f"unexpected column header: {columns}")
+    if body and not body.endswith(b"\n"):
+        body += b"\n"
+    # zero bytes past the end, so that a window of up to _FLOAT_WIDTH bytes
+    # can start at any field
+    raw = np.frombuffer(body + bytes(_FLOAT_WIDTH), dtype=np.uint8)
+    ends = np.flatnonzero(raw == ord("\n"))
+    n = len(ends)
+    starts = np.concatenate(([0], ends + 1))[:n]
+    commas = np.flatnonzero(raw == ord(","))
+    # 4n sorted commas, the first and last of each four inside their row,
+    # give every row exactly four
+    if (len(commas) != 4 * n or (commas[0::4] < starts).any() or (commas[3::4] > ends).any()
+            or not body.isascii() or b"\0" in body):
+        raise _malformed_row(body, starts, ends, commas)
+    # field k of row i is raw[lo[i, k] : hi[i, k]]
+    lo = np.column_stack((starts, commas.reshape(n, 4) + 1))
+    hi = np.column_stack((commas.reshape(n, 4), ends))
     kind = np.full(n, -1, dtype=np.int8)
+    size = hi[:, 1] - lo[:, 1]
+    names = _cells(raw, lo[:, 1], size, 9).view("S9").ravel()
     for code, name in enumerate(_KIND_NAMES):
-        kind[names == name] = code
+        kind[(size == len(name)) & (names == name.encode())] = code
     if (kind < 0).any():
-        raise ValueError(f"unknown event kind {str(names[np.argmax(kind < 0)])!r}")
+        i = int(np.argmax(kind < 0))
+        raise ValueError(f"unknown event kind {body[lo[i, 1] : hi[i, 1]].decode()!r}")
     mat = np.flatnonzero(kind == MATCH)
-    a_type, a_serial = _agent_columns(fields[2::5])
+    colons = np.flatnonzero(raw == ord(":"))
+    a_type, a_serial = _agent_ids(raw, colons, lo[:, 2], hi[:, 2])
     b_type = np.full(n, -1, dtype=np.int64)
     b_serial = np.full(n, -1, dtype=np.int64)
-    b_type[mat], b_serial[mat] = _agent_columns([fields[5 * i + 3] for i in mat.tolist()])
+    b_type[mat], b_serial[mat] = _agent_ids(raw, colons, lo[mat, 3], hi[mat, 3])
     value = np.zeros(n)
-    value[mat] = [float(fields[5 * i + 4]) for i in mat.tolist()]
+    value[mat] = _floats(raw, lo[mat, 4], hi[mat, 4])
     # a departure's flag: the agent sits in a match row above it
-    row = np.concatenate((np.arange(n), mat))
+    dep = np.flatnonzero(kind == DEPARTURE)
+    row = np.concatenate((mat, mat, dep))
     order, first, _ = _agent_runs(
-        np.concatenate((a_type, b_type[mat])), np.concatenate((a_serial, b_serial[mat])), row
+        np.concatenate((a_type[mat], b_type[mat], a_type[dep])),
+        np.concatenate((a_serial[mat], b_serial[mat], a_serial[dep])),
+        row,
     )
-    step_kind = np.concatenate((kind, np.full(len(mat), MATCH, dtype=np.int8)))[order]
-    had = _latest(step_kind == MATCH, first) >= 0
+    in_match = order < 2 * len(mat)
+    had = _latest(in_match, first) >= 0
     matched = np.zeros(n, dtype=bool)
-    matched[row[order[had & (step_kind == DEPARTURE)]]] = True
+    matched[row[order[had & ~in_match]]] = True
     trace = EventTrace(
-        time=np.array(list(map(float, fields[0::5])), dtype=np.float64),
+        time=_floats(raw, lo[:, 0], hi[:, 0]),
         kind=kind,
         a_type=a_type,
         a_serial=a_serial,
@@ -991,23 +1034,73 @@ def read_trace_csv(path: str) -> tuple[EventTrace, dict]:
     return trace, meta
 
 
-def _split_fields(
-    text: str, n: int, width: int, record_sep: str, field_sep: str, what: str
-) -> list[str]:
-    """The fields of n records of width fields each, as one flat list;
-    raises ValueError naming the first record of another width."""
-    raw = np.frombuffer(text.encode(), dtype=np.uint8)
-    record_of = np.searchsorted(
-        np.flatnonzero(raw == ord(record_sep)), np.flatnonzero(raw == ord(field_sep))
-    )
-    bad = np.flatnonzero(np.bincount(record_of, minlength=n) != width - 1)
-    if len(bad):
-        raise ValueError(f"{what}: {text.split(record_sep)[bad[0]]!r}")
-    return text.replace(record_sep, field_sep).split(field_sep) if n else []
+def _malformed_row(
+    body: bytes, starts: np.ndarray, ends: np.ndarray, commas: np.ndarray
+) -> ValueError:
+    """The error naming the first row that has other than five fields or
+    holds a NUL or non-ASCII byte."""
+    text = np.frombuffer(body, dtype=np.uint8)
+    bad = np.bincount(np.searchsorted(ends, commas), minlength=len(ends)) != 4
+    bad[np.searchsorted(ends, np.flatnonzero((text == 0) | (text > 127)))] = True
+    i = int(np.argmax(bad))
+    row = body[starts[i] : ends[i]].decode(errors="replace")
+    return ValueError(f"malformed trace row: {row!r}")
 
 
-def _agent_columns(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Type and serial columns of "type:serial" agent fields."""
-    parts = _split_fields(",".join(texts), len(texts), 2, ",", ":", "malformed agent id")
-    return (np.array(list(map(int, parts[0::2])), dtype=np.int64),
-            np.array(list(map(int, parts[1::2])), dtype=np.int64))
+def _agent_ids(
+    raw: np.ndarray, colons: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Type and serial columns of the "type:serial" fields raw[lo:hi], given
+    the sorted positions of every colon in raw."""
+    # the first colon at or after each field's start: without one inside
+    # the field, the type's run takes in the comma or newline after it; a
+    # second one falls inside the serial's run
+    mid = np.append(colons, len(raw))[np.searchsorted(colons, lo)]
+    types, ok_type = _digit_runs(raw, lo, mid)
+    serials, ok_serial = _digit_runs(raw, mid + 1, hi)
+    bad = ~(ok_type & ok_serial)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"malformed agent id: {raw[lo[i] : hi[i]].tobytes().decode()!r}")
+    return types, serials
+
+
+def _digit_runs(
+    raw: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The int64 value of each run raw[lo:hi] of 1 to _MAX_DIGITS ASCII
+    digits, summed by place value one digit column at a time, and whether
+    the run is one."""
+    size = hi - lo
+    ok = (size > 0) & (size <= _MAX_DIGITS)
+    width = max(1, int(size.max(initial=0, where=ok)))
+    digits = sliding_window_view(raw, width)[np.where(ok, lo, 0)] - np.uint8(ord("0"))
+    value = np.zeros(len(lo), dtype=np.int64)
+    for j, column in enumerate(digits.T):
+        inside = size > j
+        ok &= ~inside | (column <= 9)  # other bytes wrap past 9
+        value = np.where(inside, value * 10 + column, value)
+    return value, ok
+
+
+def _floats(raw: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """float() of each field raw[lo:hi], by one cast of the fields
+    zero-padded to a common width; a field longer than _FLOAT_WIDTH bytes
+    is parsed on its own."""
+    size = hi - lo
+    long = np.flatnonzero(size > _FLOAT_WIDTH)
+    size[long] = 1
+    width = max(1, int(size.max(initial=0)))
+    cells = _cells(raw, lo, size, width)
+    cells[long, 0] = ord("0")
+    out = cells.view(f"S{width}").ravel().astype(np.float64)
+    out[long] = [float(raw[a:b].tobytes()) for a, b in zip(lo[long].tolist(), hi[long].tolist())]
+    return out
+
+
+def _cells(raw: np.ndarray, lo: np.ndarray, size: np.ndarray, width: int) -> np.ndarray:
+    """The fields raw[lo : lo + size] as the rows of a (len(lo), width)
+    byte array, zero-padded (and cut) to width."""
+    cells = sliding_window_view(raw, width)[lo]
+    cells[np.arange(width) >= size[:, None]] = 0
+    return cells

@@ -546,7 +546,9 @@ def replay_check_by_walk(events, instance) -> list[str]:
 def read_trace_by_line(path):
     """The event rows of a trace CSV, parsed one line at a time the way
     the package did before traces became columns (header lines skipped,
-    departure flags rebuilt from the match rows above them)."""
+    departure flags rebuilt from the match rows above them). Raises
+    ValueError on a row without five fields, an unknown event kind, or a
+    field that int() or float() refuses."""
     from dynmatch import AgentId
     from dynmatch.simulate import ArrivalEvent, DepartureEvent, MatchEvent
 
@@ -557,6 +559,8 @@ def read_trace_by_line(path):
         fh.readline()
         for line in fh:
             row = line.rstrip("\n").split(",")
+            if len(row) != 5:
+                raise ValueError(f"malformed trace row: {line!r}")
             t = float(row[0])
             if row[1] == "arrival":
                 events.append(ArrivalEvent(t, AgentId.from_text(row[2])))
@@ -564,9 +568,11 @@ def read_trace_by_line(path):
                 a, b = AgentId.from_text(row[2]), AgentId.from_text(row[3])
                 matched.update((a, b))
                 events.append(MatchEvent(t, a, b, float(row[4])))
-            else:
+            elif row[1] == "departure":
                 agent = AgentId.from_text(row[2])
                 events.append(DepartureEvent(t, agent, agent in matched))
+            else:
+                raise ValueError(f"unknown event kind {row[1]!r}")
     return events
 
 

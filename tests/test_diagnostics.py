@@ -6,9 +6,12 @@ of slack on top of the 5% bands they test.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import dynmatch.diagnostics
 
 from dynmatch import (
     LpSolution,
@@ -18,9 +21,12 @@ from dynmatch import (
     merge_counters,
     solve_upper_bound,
 )
+from dynmatch.cli import main
 from dynmatch.diagnostics import FAIL, INCONCLUSIVE, PASS
 
 from helpers import make_instance, one_type, patient_impatient
+
+AUDIT_MARKET = str(Path(__file__).resolve().parents[1] / "bench" / "instances" / "audit.json")
 
 
 def zero_solution(n):
@@ -268,3 +274,58 @@ class TestBoundChecks:
         inbound = rows_named(report, "inbound_attempt_rate")[0]
         assert inbound.verdict in (PASS, FAIL)
         assert inbound.verdict == PASS
+
+
+def sum_as_in_312(iterable, start=0):
+    """builtins.sum as CPython 3.12 and later run it: ints add exactly,
+    exact floats (not float subclasses such as np.float64) add with
+    Neumaier's compensation, anything else adds plainly."""
+    it = iter(iterable)
+    result = start
+    if type(result) is int:
+        for item in it:
+            if type(item) is int:
+                result += item
+                continue
+            result = result + item
+            break
+        else:
+            return result
+    if type(result) is float:
+        total, c = result, 0.0
+        for item in it:
+            if type(item) is float:
+                t = total + item
+                c += (total - t) + item if abs(total) >= abs(item) else (item - t) + total
+                total = t
+                continue
+            if type(item) is int:
+                total += item
+                continue
+            result = (total + c if c and math.isfinite(c) else total) + item
+            break
+        else:
+            return total + c if c and math.isfinite(c) else total
+    for item in it:
+        result = result + item
+    return result
+
+
+def test_diagnostics_do_not_depend_on_the_python_sum(tmp_path, monkeypatch, capsys):
+    """diagnose writes the same bytes when the module's sum compensates
+    float rounding as Python 3.12's does. At this seed and replication
+    count, summing either the merged waiting fractions or the inbound
+    targets with such a sum changes diagnostics.json."""
+    # the emulation compensates: ten 0.1s make 1.0, not 0.9999999999999999
+    assert sum_as_in_312([0.1] * 10) == 1.0
+
+    def diagnose(out):
+        args = ["diagnose", "--instance", AUDIT_MARKET, "--seed", "3",
+                "--horizon", "10000", "--replications", "4", "--out", str(out)]
+        assert main(args) == 0
+        return (out / "diagnostics.json").read_bytes()
+
+    plain = diagnose(tmp_path / "plain")
+    monkeypatch.setattr(dynmatch.diagnostics, "sum", sum_as_in_312, raising=False)
+    assert diagnose(tmp_path / "compensated") == plain
+    capsys.readouterr()

@@ -10,6 +10,7 @@ violation each and on seeded mutations of real runs.
 import json
 import os
 import random
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -111,6 +112,12 @@ FORGED = {
         "0:0 matched after departing",
     ),
     "first row before zero": ([arrive(-1.0, A0)], "events out of order at t=-1.0"),
+    # a type outside the instance: every pair with it is worth 0
+    "value of a pair outside the instance": (
+        [arrive(1.0, A0), arrive(1.0, AgentId(-1, 0)), arrive(2.0, A1), arrive(2.0, AgentId(5, 0)),
+         match(2.0, A0, AgentId(-1, 0), 1.0), match(2.0, A1, AgentId(5, 0), 1.0)],
+        "match value 1.0 disagrees with the instance (0.0)",
+    ),
 }
 
 
@@ -236,6 +243,16 @@ class TestCsvRefusals:
         )
         assert len(trace.events) == 2 and meta["policy"] == "greedy"
 
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["CRLF", "CR"])
+    def test_reads_other_line_ends_as_text_mode_does(self, tmp_path, end):
+        text = self.HEADER + self.COLUMNS + (
+            "1.0,arrival,0:0,,\n1.5,arrival,0:1,,\n1.5,match,0:0,0:1,2.5\n2.0,departure,0:0,,\n"
+        )
+        trace, meta = self.read(tmp_path, text)
+        other, other_meta = self.read(tmp_path, text.replace("\n", end))
+        assert other.events == trace.events and other_meta == meta
+        assert [e.matched_before_departure for e in other.events if isinstance(e, DepartureEvent)] == [True]
+
     @pytest.mark.parametrize("text", [
         "# dynmatch-trace v2 seed=1 policy= horizon=1.0 burn_in=0.0\n" + COLUMNS,
         "time,event,agent_a,agent_b,value\n",
@@ -258,6 +275,21 @@ class TestCsvRefusals:
         with pytest.raises(ValueError, match="malformed trace row"):
             self.read(tmp_path, self.HEADER + self.COLUMNS + good + row + good)
 
+    @pytest.mark.parametrize("rows", [
+        "1.0,arrival,0:0,\n2.0,arrival,0:1,,,\n", "1.0,arrival,0:0,,,\n2.0,arrival,0:1,\n",
+    ], ids=["4 then 6 fields", "6 then 4 fields"])
+    def test_rows_trading_a_field(self, tmp_path, rows):
+        with pytest.raises(ValueError, match="malformed trace row: '1.0,arrival,0:0,,?,?'"):
+            self.read(tmp_path, self.HEADER + self.COLUMNS + rows)
+
+    def test_departure_flags_read_only_earlier_matches(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text(self.HEADER + self.COLUMNS + "1.0,arrival,0:0,,\n1.5,arrival,0:1,,\n"
+                     "2.0,departure,0:0,,\n3.0,match,0:0,0:1,1.0\n4.0,departure,0:1,,\n")
+        trace, _ = read_trace_csv(p)
+        assert trace.matched.tolist() == [False, False, False, False, True]
+        assert list(trace.events) == read_trace_by_line(p)
+
     def test_unknown_event_kind(self, tmp_path):
         with pytest.raises(ValueError, match="unknown event kind 'leave'"):
             self.read(tmp_path, self.HEADER + self.COLUMNS + "1.0,arrival,0:0,,\n1.5,leave,0:0,,\n")
@@ -267,6 +299,58 @@ class TestCsvRefusals:
         with pytest.raises(ValueError):
             self.read(tmp_path, self.HEADER + self.COLUMNS
                       + f"1.0,arrival,{agent},,\n2.0,arrival,3:4,,\n")
+
+    @pytest.mark.parametrize("name", ["departures", "arrivalx", "matc", "Match", "departurE", ""])
+    def test_kind_names_match_in_full(self, tmp_path, name):
+        with pytest.raises(ValueError, match=re.escape(f"unknown event kind {name!r}")):
+            self.read(tmp_path, self.HEADER + self.COLUMNS + f"1.0,{name},0:0,,\n")
+
+    # where the byte reader and int() part: an agent id is two runs of at
+    # most 18 ASCII digits around one colon
+    @pytest.mark.parametrize("agent", [
+        "+1:0", "1:-0", " 1:0", "1: 0", "1 :0", "1_0:0", "1:0000000000000000001",
+    ])
+    def test_refuses_agent_ids_int_would_take(self, tmp_path, agent):
+        assert all(isinstance(int(part), int) for part in agent.split(":"))
+        with pytest.raises(ValueError, match=re.escape(f"malformed agent id: {agent!r}")):
+            self.read(tmp_path, self.HEADER + self.COLUMNS + f"1.0,arrival,{agent},,\n")
+
+    def test_reads_agent_ids_of_18_digits(self, tmp_path):
+        trace, _ = self.read(tmp_path, self.HEADER + self.COLUMNS
+                             + "1.0,arrival,000000000000000012:999999999999999999,,\n")
+        assert (trace.a_type.tolist(), trace.a_serial.tolist()) == ([12], [10**18 - 1])
+
+    # where the byte reader and the text reader part: a row holding a NUL
+    # or non-ASCII byte is refused, even in a field the reader ignores
+    @pytest.mark.parametrize("row", [
+        "1.0,arrival,0:0,\0,", "1.0,arrival,0:0,,\u00e9", "\uff11.0,arrival,0:0,,",
+        "1.0,arrival,\uff10:0,,",
+    ], ids=["NUL in an ignored field", "non-ASCII in an ignored field",
+            "full-width digit in a time", "full-width digit in an agent id"])
+    def test_refuses_nul_and_non_ascii_bytes(self, tmp_path, row):
+        with pytest.raises(ValueError, match="malformed trace row"):
+            self.read(tmp_path, self.HEADER + self.COLUMNS + "0.5,arrival,0:1,,\n" + row + "\n")
+
+    @pytest.mark.parametrize("text", [
+        " 1.5", "1.5\t", "+2.5", "1_0", "1e400", "-inf", "nan", "-0.0", "1E-5",
+        "0.1000000000000000055511151231257827021181583404541015625", "1" * 40,
+    ])
+    def test_float_fields_parse_as_float_does(self, tmp_path, text):
+        trace, _ = self.read(tmp_path, self.HEADER + self.COLUMNS
+                             + f"{text},arrival,0:0,,\n0.5,match,0:0,0:1,{text}\n")
+        want = float(text)
+        got = np.array([trace.time[0], trace.value[1]])  # the arrival's time, the match's value
+        np.testing.assert_array_equal(got, [want, want])
+        assert np.signbit(got).tolist() == [np.signbit(want)] * 2
+
+    @pytest.mark.parametrize("text", ["", " ", "1.5.", "0x1", "1__0", "1.a", "in f"])
+    def test_float_fields_float_refuses(self, tmp_path, text):
+        with pytest.raises(ValueError):
+            float(text)
+        with pytest.raises(ValueError, match="could not convert"):
+            self.read(tmp_path, self.HEADER + self.COLUMNS + f"{text},arrival,0:0,,\n")
+        with pytest.raises(ValueError, match="could not convert"):
+            self.read(tmp_path, self.HEADER + self.COLUMNS + f"1.0,match,0:0,0:1,{text}\n")
 
 
 def rewrite_is_identical(trace, tmp_path, policy):
@@ -300,6 +384,84 @@ class TestCsvRoundTrip:
             new = tmp_path / f"new{k}.csv"
             write_trace_csv(back, new, policy=meta["policy"])
             assert new.read_text() == case["trace_csv"]
+            crlf = tmp_path / f"crlf{k}.csv"
+            crlf.write_bytes(case["trace_csv"].replace("\n", "\r\n").encode())
+            again, again_meta = read_trace_csv(crlf)
+            assert again_meta == meta
+            for name, dtype in COLUMN_DTYPES.items():
+                assert getattr(again, name).dtype == dtype
+                np.testing.assert_array_equal(getattr(again, name), getattr(back, name))
+
+    def test_signed_zeros_keep_their_texts(self, tmp_path):
+        events = [arrive(-0.0, A0), arrive(0.0, A1), match(0.0, A0, A1, -0.0),
+                  match(0.0, A0, A1, 0.0)]
+        p = tmp_path / "t.csv"
+        write_trace_csv(trace_of_events(events, horizon=1.0), p)
+        assert p.read_text().splitlines()[2:] == [
+            "-0.0,arrival,0:0,,", "0.0,arrival,0:1,,", "0.0,match,0:0,0:1,-0.0",
+            "0.0,match,0:0,0:1,0.0",
+        ]
+        back, _ = read_trace_csv(p)
+        assert np.signbit(back.time).tolist() == [True, False, False, False]
+        assert np.signbit(back.value).tolist() == [False, False, True, False]
+
+
+COLUMN_DTYPES = {"time": np.float64, "kind": np.int8, "a_type": np.int64,
+                 "a_serial": np.int64, "b_type": np.int64, "b_serial": np.int64,
+                 "value": np.float64, "matched": np.bool_}
+
+
+def mutate_csv(text, rng):
+    """One to three seeded corruptions of a trace file's body: a comma or
+    colon dropped or doubled, a digit turned into a letter, the line ends
+    turned to CR LF, or a copy of a row appended without its newline."""
+    cut = text.index("\n", text.index("\n") + 1) + 1
+    head, body = text[:cut], text[cut:]
+    for _ in range(rng.randint(1, 3)):
+        op = rng.choice(["drop", "double", "letter", "crlf", "tail"])
+        if op in ("drop", "double"):
+            spots = [i for i, c in enumerate(body) if c in ",:"]
+            if spots:
+                i = rng.choice(spots)
+                copies = 2 if op == "double" else 0
+                body = body[:i] + body[i] * copies + body[i + 1:]
+        elif op == "letter":
+            spots = [i for i, c in enumerate(body) if c.isdigit()]
+            if spots:
+                i = rng.choice(spots)
+                body = body[:i] + rng.choice("abefinxz") + body[i + 1:]
+        elif op == "crlf":
+            head, body = head.replace("\n", "\r\n"), body.replace("\n", "\r\n")
+        elif body:
+            body += rng.choice(body.splitlines())
+    return head + body
+
+
+def test_mutated_files_read_like_the_line_reader(tmp_path):
+    """Seeded corruptions of traces of all four policies: the byte reader
+    returns the rows the line reader returns, or both raise ValueError."""
+    rng = random.Random(2310)
+    texts = []
+    for k, pol in enumerate(POLICIES):
+        inst = random_instance(random.Random(k), 3, allow_impatient=True)
+        p = tmp_path / f"{k}.csv"
+        write_trace_csv(run(inst, pol, 12.0, 40 + k), p, policy=pol.file_token())
+        texts.append(p.read_text())
+    outcomes = {"same rows": 0, "both refuse": 0}
+    p = tmp_path / "mutated.csv"
+    for _ in range(400):
+        p.write_bytes(mutate_csv(rng.choice(texts), rng).encode())
+        try:
+            want = read_trace_by_line(p)
+        except ValueError:
+            with pytest.raises(ValueError):
+                read_trace_csv(p)
+            outcomes["both refuse"] += 1
+            continue
+        assert list(read_trace_csv(p)[0].events) == want
+        outcomes["same rows"] += 1
+    assert min(outcomes.values()) >= 50, outcomes
+
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10_000), st.sampled_from(range(len(POLICIES))))
